@@ -166,13 +166,40 @@ def _augmented_word(
     return tensor_product(parts, alg)
 
 
+def augmented_components(
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
+) -> dict[str, TensorElement]:
+    """The eps-augmented arity-n components of the differential: for each
+    generator, the sum over every differential word of arity at least n
+    and every way of spreading the extra letters into augmentation blocks
+    around the n survivors.  ``augs`` has n + 1 entries, one per block.
+    Generators whose component vanishes are left out."""
+    _check_tuple(dga, augs, n + 1)
+    components: dict[str, TensorElement] = {}
+    for arity in range(n, dga.max_word_arity() + 1):
+        comps = list(_compositions(arity - n, n + 1))
+        for name in dga.names:
+            di = dga.d_component(name, arity)
+            if di.is_zero():
+                continue
+            value = components.get(name, TensorElement.zero(dga.algebra))
+            for comp in comps:
+                for tw, coeff in di.terms.items():
+                    augmented = _augmented_word(dga, augs, tw, comp)
+                    if augmented is not None:
+                        value = value + augmented.scale(coeff)
+            components[name] = value
+    return {name: value for name, value in components.items() if not value.is_zero()}
+
+
 def mu_eps_case2(
     dga: SemifreeDGA, augs: Sequence[Augmentation], x: TensorElement
 ) -> TensorElement:
-    """The augmented adjoint operation, computed word by word: augment
-    blocks of each differential word, then take the adjoint of the
-    resulting arity-n morphism.  The bounding-cochain sums are never
-    materialised; each differential word contributes finitely."""
+    """The augmented adjoint operation: the trace-pairing adjoint of the
+    eps-augmented arity-n components of the differential (see
+    :func:`augmented_components`).  The adjoint is linear in the
+    components, so one adjoint of their sum replaces one adjoint per block
+    pattern; the bounding-cochain sums are never materialised."""
     if not dga.algebra.hermitian:
         raise NotHermitianError(f"{dga.algebra} has no hermitian structure")
     if x.is_zero():
@@ -180,25 +207,10 @@ def mu_eps_case2(
     n = x.arity
     if n < 1:
         raise ArityMismatchError("mu needs arity at least one")
-    _check_tuple(dga, augs, n + 1)
-    total = TensorElement.zero(dga.algebra)
-    for arity in range(n, dga.max_word_arity() + 1):
-        for comp in _compositions(arity - n, n + 1):
-            f_values: dict[str, TensorElement] = {}
-            for name in dga.names:
-                di = dga.d_component(name, arity)
-                if di.is_zero():
-                    continue
-                value = TensorElement.zero(dga.algebra)
-                for tw, coeff in di.terms.items():
-                    augmented = _augmented_word(dga, augs, tw, comp)
-                    if augmented is not None:
-                        value = value + augmented.scale(coeff)
-                if not value.is_zero():
-                    f_values[name] = value
-            if f_values:
-                total = total + adjoint_formula(f_values, 0, 0, x)
-    return total
+    components = augmented_components(dga, augs, n)
+    if not components:
+        return TensorElement.zero(dga.algebra)
+    return adjoint_formula(components, 0, 0, x)
 
 
 # -- relation checking ---------------------------------------------------
@@ -363,6 +375,10 @@ def verify_ainfty(
         raise NcdgaError(f"unknown case {case!r}")
     if not objects:
         raise TupleLengthMismatchError("need at least one augmentation")
+    if max_arity < 1:
+        # every check runs at arity 1 or more; a smaller bound would pass
+        # with no checks at all
+        raise ArityMismatchError(f"max arity must be at least 1, got {max_arity}")
     alg = dga.algebra
     pool = list(coeff_pool) if coeff_pool is not None else default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")

@@ -154,7 +154,13 @@ def _parse_rational(stream: _Stream) -> Fraction:
     tok = stream.peek()
     if tok is not None and tok.kind == "/":
         stream.next()
-        return Fraction(numerator, _parse_int(stream))
+        denominator_tok = stream.peek()
+        denominator = _parse_int(stream)
+        if denominator == 0:
+            raise ParseError(
+                "division by zero", denominator_tok.line, denominator_tok.column
+            )
+        return Fraction(numerator, denominator)
     return Fraction(numerator)
 
 
@@ -233,7 +239,7 @@ class _ExpressionParser:
         if tok is None:
             raise ParseError("unexpected end of expression")
         if tok.kind == "number":
-            return TensorElement.from_scalar(self.algebra, _parse_rational(stream))
+            return TensorElement.from_scalar(self.algebra, self._scalar())
         if tok.kind == "(":
             stream.next()
             inner = self.parse()
@@ -253,6 +259,18 @@ class _ExpressionParser:
                 value = self._invert(value, tok)
             return value
         raise ParseError(f"unexpected {tok.text!r} in expression", tok.line, tok.column)
+
+    def _scalar(self):
+        """A rational literal, coerced into the algebra's scalar ring."""
+        tok = self.stream.peek()
+        value = _parse_rational(self.stream)
+        ring = self.algebra.ring
+        try:
+            return ring.coerce(value)
+        except (ZeroDivisionError, NcdgaError):
+            raise ParseError(
+                f"{value} is not a scalar of {ring.name}", tok.line, tok.column
+            ) from None
 
     def _resolve(self, tok: Token) -> TensorElement:
         if tok.text in self.generators:
@@ -282,13 +300,13 @@ class _ExpressionParser:
             raise ParseError(
                 "matrix literal outside a matrix algebra", open_tok.line, open_tok.column
             )
-        rows: list[list[Fraction]] = []
+        rows: list[list] = []
         while True:
             stream.expect("[")
-            row = [_parse_rational(stream)]
+            row = [self._scalar()]
             while (tok := stream.peek()) is not None and tok.kind == ",":
                 stream.next()
-                row.append(_parse_rational(stream))
+                row.append(self._scalar())
             stream.expect("]")
             rows.append(row)
             tok = stream.peek()
@@ -377,6 +395,10 @@ def parse_dga(text: str) -> SemifreeDGA:
                     name.line,
                     name.column,
                 )
+            if name.text in differential:
+                raise ParseError(
+                    f"second differential for {name.text!r}", name.line, name.column
+                )
             stream.expect("=")
             value = _ExpressionParser(stream, algebra, gen_names).parse()
             differential[name.text] = value
@@ -451,6 +473,10 @@ def _parse_assignments(
                     f"value assigned to unknown generator {name.text!r}",
                     name.line,
                     name.column,
+                )
+            if name.text in values:
+                raise ParseError(
+                    f"second value for {name.text!r}", name.line, name.column
                 )
             stream.expect("=")
             expr = _ExpressionParser(

@@ -13,40 +13,46 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .ainfinity import mu_eps_case1, mu_eps_case2
+from .ainfinity import augmented_components, mu_eps_case1, mu_eps_case2
 from .augmentation import Augmentation, push_to_target
 from .dga import SemifreeDGA
 from .errors import (
     InfiniteDimensionalCoefficientsError,
     NcdgaError,
     NotAComplexError,
+    NotHermitianError,
     NotMatrixTargetError,
     TargetMismatchError,
 )
 from .report import Report
 from .rings import Ring
-from .tensor import DualElement, TensorElement, TensorWord
+from .tensor import DualElement, TensorElement, TensorWord, adjoint_formula
 
 
 # -- exact linear algebra over a field ------------------------------------
 
 
 class Span:
-    """Row span in reduced echelon form; supports membership reduction."""
+    """Row span in reduced echelon form; supports membership reduction.
+
+    Each echelon row keeps the indices of its nonzero entries, so reducing
+    and inserting touch only those columns; complexes of decorated
+    generators give sparse rows."""
 
     def __init__(self, ring: Ring, width: int):
         self.ring = ring
         self.width = width
         self.rows: list[list] = []
         self.pivots: list[int] = []
+        self.supports: list[list[int]] = []
 
     def reduce(self, vector: list) -> list:
         ring = self.ring
         vec = list(vector)
-        for row, pivot in zip(self.rows, self.pivots):
+        for row, pivot, support in zip(self.rows, self.pivots, self.supports):
             c = vec[pivot]
             if not ring.is_zero(c):
-                for j in range(self.width):
+                for j in support:
                     vec[j] = ring.sub(vec[j], ring.mul(c, row[j]))
         return vec
 
@@ -54,18 +60,23 @@ class Span:
         """Insert a vector; returns True when it enlarges the span."""
         ring = self.ring
         vec = self.reduce(vector)
-        pivot = next((j for j, c in enumerate(vec) if not ring.is_zero(c)), None)
-        if pivot is None:
+        support = [j for j, c in enumerate(vec) if not ring.is_zero(c)]
+        if not support:
             return False
+        pivot = support[0]
         inv = ring.inv(vec[pivot])
-        vec = [ring.mul(inv, c) for c in vec]
-        for row in self.rows:
+        for j in support:
+            vec[j] = ring.mul(inv, vec[j])
+        for i, row in enumerate(self.rows):
             c = row[pivot]
             if not ring.is_zero(c):
-                for j in range(self.width):
+                for j in support:
                     row[j] = ring.sub(row[j], ring.mul(c, vec[j]))
+                merged = set(self.supports[i]).union(support)
+                self.supports[i] = [j for j in merged if not ring.is_zero(row[j])]
         self.rows.append(vec)
         self.pivots.append(pivot)
+        self.supports.append(support)
         return True
 
     @property
@@ -76,74 +87,42 @@ class Span:
         clone = Span(self.ring, self.width)
         clone.rows = [row[:] for row in self.rows]
         clone.pivots = list(self.pivots)
+        clone.supports = [support[:] for support in self.supports]
         return clone
 
 
 def kernel_basis(matrix: list[list], ncols: int, ring: Ring) -> list[list]:
-    """Basis of the null space of a (rows x ncols) matrix."""
-    rows = [row[:] for row in matrix]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, len(rows)) if not ring.is_zero(rows[i][col])), None
-        )
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ring.inv(rows[r][col])
-        rows[r] = [ring.mul(inv, c) for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not ring.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [
-                    ring.sub(a, ring.mul(factor, b)) for a, b in zip(rows[i], rows[r])
-                ]
-        pivot_of_col[col] = r
-        r += 1
+    """Basis of the null space of a (rows x ncols) matrix, one vector per
+    non-pivot column of its reduced echelon form."""
+    span = Span(ring, ncols)
+    for row in matrix:
+        span.add(row)
+    pivots = set(span.pivots)
     basis = []
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
-    for free in free_cols:
+    for free in range(ncols):
+        if free in pivots:
+            continue
         vec = [ring.zero] * ncols
         vec[free] = ring.one
-        for col, row in pivot_of_col.items():
-            vec[col] = ring.neg(rows[row][free])
+        for row, col in zip(span.rows, span.pivots):
+            vec[col] = ring.neg(row[free])
         basis.append(vec)
     return basis
 
 
 def solve_in_span(columns: list[list], target: list, ring: Ring) -> list | None:
-    """Coefficients expressing target in the given columns, or None."""
-    if not columns:
-        return [] if all(ring.is_zero(c) for c in target) else None
-    height = len(target)
-    rows = [[col[i] for col in columns] + [target[i]] for i in range(height)]
+    """Coefficients expressing target in the given columns, or None.  Free
+    coefficients are zero; the rest come from the reduced echelon form of
+    the augmented matrix [columns | target]."""
     ncols = len(columns)
-    r = 0
-    pivot_cols = []
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, height) if not ring.is_zero(rows[i][col])), None
-        )
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ring.inv(rows[r][col])
-        rows[r] = [ring.mul(inv, c) for c in rows[r]]
-        for i in range(height):
-            if i != r and not ring.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [
-                    ring.sub(a, ring.mul(factor, b)) for a, b in zip(rows[i], rows[r])
-                ]
-        pivot_cols.append(col)
-        r += 1
-    for i in range(r, height):
-        if not ring.is_zero(rows[i][-1]):
-            return None
+    span = Span(ring, ncols + 1)
+    for i, t in enumerate(target):
+        span.add([col[i] for col in columns] + [t])
+    if ncols in span.pivots:
+        return None
     solution = [ring.zero] * ncols
-    for row_idx, col in enumerate(pivot_cols):
-        solution[col] = rows[row_idx][-1]
+    for row, col in zip(span.rows, span.pivots):
+        solution[col] = row[-1]
     return solution
 
 
@@ -288,6 +267,13 @@ def bilinearized_complex(
         left, gen, right = label
         return TensorElement(alg, {TensorWord((left, right), (gen,)): alg.ring.one})
 
+    if case == "II":
+        if not alg.hermitian:
+            raise NotHermitianError(f"{alg} has no hermitian structure")
+        # the arity-one operation is the adjoint of these components; they
+        # do not depend on the column, so build them once per complex
+        components = augmented_components(base, (a0, a1), 1)
+
     diff: dict[int, list[list]] = {}
     for degree, labels in basis.items():
         target_degree = (degree + 1) % base.modulus if base.modulus else degree + 1
@@ -303,7 +289,11 @@ def bilinearized_complex(
                     for w, c in coeff.terms.items()
                 ]
             else:
-                value = mu_eps_case2(base, (a0, a1), chain_of(label))
+                value = (
+                    adjoint_formula(components, 0, 0, chain_of(label))
+                    if components
+                    else TensorElement.zero(alg)
+                )
                 pairs = [
                     ((tw.coeffs[0], tw.gens[0], tw.coeffs[1]), c)
                     for tw, c in value.terms.items()

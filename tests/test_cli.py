@@ -97,6 +97,25 @@ def test_ainfty_verify(toy_file, toy_h_file, capsys):
     assert main(["ainfty-verify", toy_h_file, "--case", "II", "--max-arity", "4"]) == 0
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_ainfty_verify_without_checks_is_a_usage_error(toy_file, capsys, bound):
+    assert main(["ainfty-verify", toy_file, "--case", "I", "--max-arity", bound]) == 2
+    captured = capsys.readouterr()
+    assert "all residuals vanish" not in captured.out
+    assert "max arity" in captured.err
+
+
+def test_bad_fraction_exit_code(tmp_path, xy_file, capsys):
+    bad = tmp_path / "half.dga"
+    bad.write_text("ring Z2\nalgebra free g1\ngen a deg 1\ngen x deg 0\nd a = 1/2*x\n")
+    assert main(["check", str(bad)]) == 2
+    assert "line 5, column 7" in capsys.readouterr().err
+    half = tmp_path / "half.aug"
+    half.write_text("target matrix 2 over Z2\nx = 1/2\n")
+    assert main(["aug-check", xy_file, "--aug", str(half)]) == 2
+    assert "line 2, column 5" in capsys.readouterr().err
+
+
 def test_aug_check_and_develop(xy_file, tmp_path, capsys):
     aug = tmp_path / "p.aug"
     aug.write_text(AUG_P)

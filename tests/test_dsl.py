@@ -222,3 +222,33 @@ def test_builtin_sources():
     assert parse_dga(builtin_source("toy-hermitian")) == toy_hermitian_dga()
     with pytest.raises(NcdgaError):
         builtin_source("nope")
+
+
+@pytest.mark.parametrize(
+    "source, line, column",
+    [
+        ("ring Z2\nalgebra free g1\ngen a deg 1\ngen x deg 0\nd a = 1/2*x\n", 5, 7),
+        ("ring Z\nalgebra free g1\ngen a deg 1\ngen x deg 0\nd a = 1/0*x\n", 5, 9),
+        ("ring Z\nalgebra free g1\ngen a deg 1\ngen x deg 0\nd a = 1/2*x\n", 5, 7),
+        ("ring Q\nalgebra free g1\ngen a deg 1 action 1/0\n", 3, 22),
+        ("ring Z2\nalgebra free g1\ngen a deg 1\ngen x deg 0\nd a = x\nd a = g1*x\n", 6, 3),
+    ],
+)
+def test_bad_scalars_and_repeated_differentials_are_parse_errors(source, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_dga(source)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("target matrix 2 over Z2\nx = 1/2\n", 2, 5),
+        ("target matrix 2 over Z2\nx = [[1,0],[0,1/2]]\n", 2, 15),
+        ("target matrix 2 over Z2\nx = [[1,0],[0,1]]\nx = [[0,1],[1,0]]\n", 3, 1),
+    ],
+)
+def test_bad_augmentation_values_are_parse_errors(xy_dga, text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_augmentation(text, xy_dga)
+    assert (err.value.line, err.value.column) == (line, column)

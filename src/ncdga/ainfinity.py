@@ -10,19 +10,23 @@ Case II (hermitian coefficient algebra): inputs are elements of the free
 bimodule itself, and the operation is the adjoint of the arity-n part of
 the differential with respect to the trace pairings.
 
-The augmented operations interleave blocks of augmentation values between
-the inputs; the sums are finite because the differential has words of
-bounded length.  Relation checking enumerates, for each splitting of the
-relation, the input patterns that could make a term nonzero (every term
-needs a word of the differential whose non-augmented letters match the
-inputs), so tuples outside that set vanish term by term and the report is
-exact without exhausting the full input space.
+The augmented operations read the eps-augmented arity-n components of the
+differential (:func:`augmented_components`): every word of arity at least
+n, with n of its letters kept as survivors and every other letter replaced
+by its augmentation value, the block of a letter being the number of
+survivors in front of it.  The sums are finite because the differential
+has words of bounded length.  Case I evaluates the components slot by
+slot, case II takes their trace-pairing adjoint.  Relation checking
+enumerates, for each splitting of the relation, the input patterns that
+could make a term nonzero (the survivors of some placement), so tuples
+outside that set vanish term by term and the report is exact without
+exhausting the full input space.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import AlgebraElement
 from .augmentation import Augmentation
@@ -35,16 +39,14 @@ from .errors import (
     TupleLengthMismatchError,
 )
 from .report import Report
-from .tensor import DualElement, TensorElement, adjoint_formula, tensor_product
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+from .tensor import (
+    DualElement,
+    TensorElement,
+    TensorWord,
+    adjoint_formula,
+    psi_eval,
+    tensor_product,
+)
 
 
 def _check_tuple(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
@@ -60,35 +62,98 @@ def _check_tuple(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
             raise TargetMismatchError("augmentation belongs to a different DGA")
 
 
+def _placements(
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
+) -> Iterator[tuple[str, TensorWord, object, list]]:
+    """Every way to read an arity-n operation off the differential: for
+    each word of d(generator) of arity at least n and each choice of n
+    survivor letters, (generator, word, coefficient, letters), where
+    ``letters`` is None at each survivor and elsewhere the value of the
+    letter under the augmentation of its block.  Placements in which a
+    block's augmentation kills a letter are skipped."""
+    for name in dga.names:
+        for tw, coeff in dga.d_of_generator(name).terms.items():
+            for survivors in itertools.combinations(range(tw.arity), n):
+                letters: list = []
+                block = 0
+                for pos, gen in enumerate(tw.gens):
+                    if block < n and survivors[block] == pos:
+                        letters.append(None)
+                        block += 1
+                        continue
+                    value = augs[block].values.get(gen)
+                    if value is None:
+                        break
+                    letters.append(value)
+                else:
+                    yield name, tw, coeff, letters
+
+
+def augmented_components(
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
+) -> dict[str, TensorElement]:
+    """The eps-augmented arity-n components of the differential: for each
+    generator, the sum over its placements (see :func:`_placements`) of
+    the word with every non-survivor letter replaced by its augmentation
+    value.  ``augs`` has n + 1 entries, one per block.  Generators whose
+    component vanishes are left out."""
+    _check_tuple(dga, augs, n + 1)
+    alg = dga.algebra
+    components: dict[str, TensorElement] = {}
+    for name, tw, coeff, letters in _placements(dga, augs, n):
+        parts: list = [alg.element(tw.coeffs[0])]
+        for gen, value, slot in zip(tw.gens, letters, tw.coeffs[1:]):
+            parts.append(TensorElement.generator(alg, gen) if value is None else value)
+            parts.append(alg.element(slot))
+        term = tensor_product(parts, alg).scale(coeff)
+        components[name] = components[name] + term if name in components else term
+    return {name: value for name, value in components.items() if not value.is_zero()}
+
+
+def _evaluate_case1(
+    dga: SemifreeDGA, components: Mapping[str, TensorElement], inputs: Sequence[DualElement]
+) -> DualElement:
+    """Case I: the coefficient of c collects the slotwise evaluation of
+    the inputs on the arity-n component of c."""
+    if len(inputs) < 1:
+        raise ArityMismatchError("mu needs at least one input")
+    for beta in inputs:
+        if beta.algebra != dga.algebra:
+            raise ArityMismatchError("input functional over the wrong algebra")
+    return DualElement(
+        dga.algebra, {name: psi_eval(inputs, value) for name, value in components.items()}
+    )
+
+
+def _evaluate_case2(
+    dga: SemifreeDGA, components: Mapping[str, TensorElement], x: TensorElement
+) -> TensorElement:
+    """Case II: the trace-pairing adjoint of the (nonzero) components."""
+    if not dga.algebra.hermitian:
+        raise NotHermitianError(f"{dga.algebra} has no hermitian structure")
+    if x.is_zero() or not components:
+        return TensorElement.zero(dga.algebra)
+    return adjoint_formula(components, 0, 0, x)
+
+
+def _case2_arity(dga: SemifreeDGA, x: TensorElement) -> int:
+    """The arity of a case II input; 0 for the zero element."""
+    if not dga.algebra.hermitian:
+        raise NotHermitianError(f"{dga.algebra} has no hermitian structure")
+    if x.is_zero():
+        return 0
+    n = x.arity
+    if n < 1:
+        raise ArityMismatchError("mu needs arity at least one")
+    return n
+
+
 def mu_case1(dga: SemifreeDGA, inputs: Sequence[DualElement]) -> DualElement:
     """mu_n on functionals: the coefficient of c in the output collects,
     for every arity-n word a0 d1 a1 ... dn an of d(c) whose generators
     match the inputs b1 d1, ..., bn dn, the product a0 b1 a1 ... bn an."""
-    n = len(inputs)
-    if n < 1:
-        raise ArityMismatchError("mu needs at least one input")
-    alg = dga.algebra
-    for beta in inputs:
-        if beta.algebra != alg:
-            raise ArityMismatchError("input functional over the wrong algebra")
-    out: dict[str, AlgebraElement] = {}
-    for pattern, entries in dga.word_index(n).items():
-        values = []
-        for j, gen in enumerate(pattern):
-            b = inputs[j].terms.get(gen)
-            if b is None:
-                break
-            values.append(b)
-        else:
-            for name, tw, coeff in entries:
-                acc = alg.element(tw.coeffs[0])
-                for j, b in enumerate(values):
-                    acc = acc * b * alg.element(tw.coeffs[j + 1])
-                    if acc.is_zero():
-                        break
-                if not acc.is_zero():
-                    out[name] = out.get(name, alg.zero()) + acc.scale(coeff)
-    return DualElement(alg, out)
+    components = {name: dga.d_component(name, len(inputs)) for name in dga.names}
+    return _evaluate_case1(dga, components, inputs)
 
 
 def curvature(dga: SemifreeDGA) -> DualElement:
@@ -103,93 +168,23 @@ def curvature(dga: SemifreeDGA) -> DualElement:
 def mu_eps_case1(
     dga: SemifreeDGA, augs: Sequence[Augmentation], inputs: Sequence[DualElement]
 ) -> DualElement:
-    """The augmented operation: interleave every block pattern of the
-    functionals eps_j(c_1) c_1 + ... between the inputs and sum."""
-    n = len(inputs)
-    _check_tuple(dga, augs, n + 1)
-    duals = [aug.dual() for aug in augs]
-    total = DualElement.zero(dga.algebra)
-    for arity in range(n, dga.max_word_arity() + 1):
-        for comp in _compositions(arity - n, n + 1):
-            if any(size > 0 and duals[j].is_zero() for j, size in enumerate(comp)):
-                continue
-            sequence: list[DualElement] = []
-            for j in range(n):
-                sequence.extend([duals[j]] * comp[j])
-                sequence.append(inputs[j])
-            sequence.extend([duals[n]] * comp[n])
-            total = total + mu_case1(dga, sequence)
-    return total
+    """The augmented operation: the eps-augmented arity-n components of
+    the differential (see :func:`augmented_components`) evaluated slot by
+    slot on the inputs."""
+    return _evaluate_case1(dga, augmented_components(dga, augs, len(inputs)), inputs)
 
 
 def mu_case2(dga: SemifreeDGA, x: TensorElement) -> TensorElement:
     """mu_n as the trace-pairing adjoint of the arity-n differential."""
-    if not dga.algebra.hermitian:
-        raise NotHermitianError(f"{dga.algebra} has no hermitian structure")
-    if x.is_zero():
+    n = _case2_arity(dga, x)
+    if not n:
         return TensorElement.zero(dga.algebra)
-    n = x.arity
-    if n < 1:
-        raise ArityMismatchError("mu needs arity at least one")
-    f_values = {
+    components = {
         name: dga.d_component(name, n)
         for name in dga.names
         if not dga.d_component(name, n).is_zero()
     }
-    if not f_values:
-        return TensorElement.zero(dga.algebra)
-    return adjoint_formula(f_values, 0, 0, x)
-
-
-def _augmented_word(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], tw, comp: tuple[int, ...]
-) -> TensorElement | None:
-    """Evaluate the augmentation blocks of ``comp`` on a differential word,
-    leaving the survivor generators in place; None when a block hits a
-    generator the augmentation kills."""
-    alg = dga.algebra
-    n = len(comp) - 1
-    parts: list = [alg.element(tw.coeffs[0])]
-    pos = 0
-    for j, block in enumerate(comp):
-        for _ in range(block):
-            value = augs[j].values.get(tw.gens[pos])
-            if value is None:
-                return None
-            parts.append(value)
-            parts.append(alg.element(tw.coeffs[pos + 1]))
-            pos += 1
-        if j < n:
-            parts.append(TensorElement.generator(alg, tw.gens[pos]))
-            parts.append(alg.element(tw.coeffs[pos + 1]))
-            pos += 1
-    return tensor_product(parts, alg)
-
-
-def augmented_components(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
-) -> dict[str, TensorElement]:
-    """The eps-augmented arity-n components of the differential: for each
-    generator, the sum over every differential word of arity at least n
-    and every way of spreading the extra letters into augmentation blocks
-    around the n survivors.  ``augs`` has n + 1 entries, one per block.
-    Generators whose component vanishes are left out."""
-    _check_tuple(dga, augs, n + 1)
-    components: dict[str, TensorElement] = {}
-    for arity in range(n, dga.max_word_arity() + 1):
-        comps = list(_compositions(arity - n, n + 1))
-        for name in dga.names:
-            di = dga.d_component(name, arity)
-            if di.is_zero():
-                continue
-            value = components.get(name, TensorElement.zero(dga.algebra))
-            for comp in comps:
-                for tw, coeff in di.terms.items():
-                    augmented = _augmented_word(dga, augs, tw, comp)
-                    if augmented is not None:
-                        value = value + augmented.scale(coeff)
-            components[name] = value
-    return {name: value for name, value in components.items() if not value.is_zero()}
+    return _evaluate_case2(dga, components, x)
 
 
 def mu_eps_case2(
@@ -200,17 +195,10 @@ def mu_eps_case2(
     :func:`augmented_components`).  The adjoint is linear in the
     components, so one adjoint of their sum replaces one adjoint per block
     pattern; the bounding-cochain sums are never materialised."""
-    if not dga.algebra.hermitian:
-        raise NotHermitianError(f"{dga.algebra} has no hermitian structure")
-    if x.is_zero():
+    n = _case2_arity(dga, x)
+    if not n:
         return TensorElement.zero(dga.algebra)
-    n = x.arity
-    if n < 1:
-        raise ArityMismatchError("mu needs arity at least one")
-    components = augmented_components(dga, augs, n)
-    if not components:
-        return TensorElement.zero(dga.algebra)
-    return adjoint_formula(components, 0, 0, x)
+    return _evaluate_case2(dga, augmented_components(dga, augs, n), x)
 
 
 # -- relation checking ---------------------------------------------------
@@ -261,30 +249,32 @@ def _pattern_matches(
     dga: SemifreeDGA, augs: Sequence[Augmentation], l: int
 ) -> set[tuple[tuple[str, ...], str]]:
     """(input pattern, output generator) pairs for which the augmented
-    arity-l operation can have a nonzero term."""
-    out: set[tuple[tuple[str, ...], str]] = set()
-    for arity in range(l, dga.max_word_arity() + 1):
-        comps = list(_compositions(arity - l, l + 1))
-        for name in dga.names:
-            for tw in dga.d_component(name, arity).terms:
-                for comp in comps:
-                    pos = 0
-                    survivors = []
-                    ok = True
-                    for j, block in enumerate(comp):
-                        for _ in range(block):
-                            if tw.gens[pos] not in augs[j].values:
-                                ok = False
-                                break
-                            pos += 1
-                        if not ok:
-                            break
-                        if j < l:
-                            survivors.append(tw.gens[pos])
-                            pos += 1
-                    if ok:
-                        out.add((tuple(survivors), name))
-    return out
+    arity-l operation can have a nonzero term: the survivors of every
+    placement.  Structural: a product that happens to vanish still
+    counts."""
+    return {
+        (tuple(gen for gen, value in zip(tw.gens, letters) if value is None), name)
+        for name, tw, _coeff, letters in _placements(dga, augs, l)
+    }
+
+
+def _splits(augs: Sequence[Augmentation], n: int):
+    """The terms of the arity-n relation: an inner operation of arity l
+    placed at input i of an outer one of arity n + 1 - l, as (l, i, inner
+    augmentation tuple, outer augmentation tuple)."""
+    eps = tuple(augs)
+    for l in range(1, n + 1):
+        for i in range(1, n + 2 - l):
+            yield l, i, eps[i - 1 : i + l], eps[:i] + eps[i + l - 1 :]
+
+
+def _relation(dga: SemifreeDGA, augs: Sequence[Augmentation], n: int) -> list:
+    """The inner and outer components of every term of the arity-n
+    relation; they do not depend on the inputs."""
+    return [
+        (l, i, augmented_components(dga, inner, l), augmented_components(dga, outer, n + 1 - l))
+        for l, i, inner, outer in _splits(augs, n)
+    ]
 
 
 def candidate_patterns(
@@ -292,20 +282,51 @@ def candidate_patterns(
 ) -> list[tuple[str, ...]]:
     """Input generator patterns for which some term of the arity-n
     relation can be nonzero.  Every other pattern vanishes term by term."""
-    eps = tuple(augs)
     patterns: set[tuple[str, ...]] = set()
-    for l in range(1, n + 1):
-        k = n + 1 - l
-        for i in range(1, k + 1):
-            inner = _pattern_matches(dga, eps[i - 1 : i + l], l)
-            outer = _pattern_matches(dga, eps[:i] + eps[i + l - 1 :], k)
-            by_slot: dict[str, list[tuple[str, ...]]] = {}
-            for pat_out, _name in outer:
-                by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
-            for pat_in, name_in in inner:
-                for pat_out in by_slot.get(name_in, ()):
-                    patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
+    for l, i, inner_eps, outer_eps in _splits(augs, n):
+        inner = _pattern_matches(dga, inner_eps, l)
+        outer = _pattern_matches(dga, outer_eps, n + 1 - l)
+        by_slot: dict[str, list[tuple[str, ...]]] = {}
+        for pat_out, _name in outer:
+            by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
+        for pat_in, name_in in inner:
+            for pat_out in by_slot.get(name_in, ()):
+                patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
     return sorted(patterns)
+
+
+def _residual_case1(
+    dga: SemifreeDGA, relation: list, inputs: Sequence[DualElement]
+) -> DualElement:
+    total = DualElement.zero(dga.algebra)
+    for l, i, inner_components, outer_components in relation:
+        inner = _evaluate_case1(dga, inner_components, inputs[i - 1 : i - 1 + l])
+        if inner.is_zero():
+            continue
+        outer_inputs = list(inputs[: i - 1]) + [inner] + list(inputs[i - 1 + l :])
+        outer = _evaluate_case1(dga, outer_components, outer_inputs)
+        parity = sum(_dual_degree(dga, m) for m in inputs[: i - 1]) % 2
+        total = total + (outer.scale(-1) if parity else outer)
+    return total
+
+
+def _residual_case2(
+    dga: SemifreeDGA, relation: list, inputs: Sequence[TensorElement]
+) -> TensorElement:
+    total = TensorElement.zero(dga.algebra)
+    for l, i, inner_components, outer_components in relation:
+        inner = _evaluate_case2(
+            dga, inner_components, tensor_product(inputs[i - 1 : i - 1 + l])
+        )
+        if inner.is_zero():
+            continue
+        spliced = tensor_product(list(inputs[: i - 1]) + [inner] + list(inputs[i - 1 + l :]))
+        if spliced.is_zero():
+            continue
+        outer = _evaluate_case2(dga, outer_components, spliced)
+        parity = sum(dga.element_degree(m) or 0 for m in inputs[: i - 1]) % 2
+        total = total + (outer.scale(-1) if parity else outer)
+    return total
 
 
 def ainfty_residual_case1(
@@ -314,45 +335,13 @@ def ainfty_residual_case1(
     """Signed double sum of the arity-n relation; zero when the theorem
     holds.  The sign of a term is the parity of the generator degrees of
     the inputs standing left of the inner operation."""
-    n = len(inputs)
-    eps = tuple(augs)
-    total = DualElement.zero(dga.algebra)
-    for l in range(1, n + 1):
-        k = n + 1 - l
-        for i in range(1, k + 1):
-            inner = mu_eps_case1(dga, eps[i - 1 : i + l], inputs[i - 1 : i - 1 + l])
-            if inner.is_zero():
-                continue
-            outer_inputs = list(inputs[: i - 1]) + [inner] + list(inputs[i - 1 + l :])
-            outer = mu_eps_case1(dga, eps[:i] + eps[i + l - 1 :], outer_inputs)
-            parity = sum(_dual_degree(dga, m) for m in inputs[: i - 1]) % 2
-            total = total + (outer.scale(-1) if parity else outer)
-    return total
+    return _residual_case1(dga, _relation(dga, augs, len(inputs)), inputs)
 
 
 def ainfty_residual_case2(
     dga: SemifreeDGA, augs: Sequence[Augmentation], inputs: Sequence[TensorElement]
 ) -> TensorElement:
-    n = len(inputs)
-    eps = tuple(augs)
-    total = TensorElement.zero(dga.algebra)
-    for l in range(1, n + 1):
-        k = n + 1 - l
-        for i in range(1, k + 1):
-            inner = mu_eps_case2(
-                dga, eps[i - 1 : i + l], tensor_product(inputs[i - 1 : i - 1 + l])
-            )
-            if inner.is_zero():
-                continue
-            spliced = tensor_product(
-                list(inputs[: i - 1]) + [inner] + list(inputs[i - 1 + l :])
-            )
-            if spliced.is_zero():
-                continue
-            outer = mu_eps_case2(dga, eps[:i] + eps[i + l - 1 :], spliced)
-            parity = sum(dga.element_degree(m) or 0 for m in inputs[: i - 1]) % 2
-            total = total + (outer.scale(-1) if parity else outer)
-    return total
+    return _residual_case2(dga, _relation(dga, augs, len(inputs)), inputs)
 
 
 def verify_ainfty(
@@ -384,7 +373,7 @@ def verify_ainfty(
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
-        _check_tuple(dga, eps, n + 1)
+        relation = _relation(dga, eps, n)
         if exhaustive:
             patterns = list(itertools.product(dga.names, repeat=n))
         else:
@@ -395,7 +384,7 @@ def verify_ainfty(
                     inputs = [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
                     if any(m.is_zero() for m in inputs):
                         continue
-                    residual = ainfty_residual_case1(dga, eps, inputs)
+                    residual = _residual_case1(dga, relation, inputs)
                     report.record(
                         residual.is_zero(),
                         f"arity {n}, inputs "
@@ -412,7 +401,7 @@ def verify_ainfty(
                         inputs.append(m)
                     if any(m.is_zero() for m in inputs):
                         continue
-                    residual = ainfty_residual_case2(dga, eps, inputs)
+                    residual = _residual_case2(dga, relation, inputs)
                     report.record(
                         residual.is_zero(),
                         f"arity {n}, inputs "

@@ -250,9 +250,6 @@ def _cmd_mirror(args) -> int:
 
 def _cmd_coeffchange(args) -> int:
     dga = _load_dga(args.file)
-    if args.split is not None:
-        _emit_dga(ncopy_via_split(dga, args.split), args.output)
-        return 0
     morphism = parse_coefficient_map(_read(args.map), dga.algebra)
     _emit_dga(dga.change_coefficients(morphism), args.output)
     return 0
@@ -261,14 +258,29 @@ def _cmd_coeffchange(args) -> int:
 def _cmd_subdga(args) -> int:
     dga = _load_dga(args.file)
     if args.action is not None:
-        _emit_dga(dga.action_subdga(Fraction(args.action)), args.output)
+        _emit_dga(dga.action_subdga(args.action), args.output)
         return 0
     grading = dga.link_grading()
     if grading is None:
         raise NcdgaError("DGA has no link labels")
-    components = {int(part) for part in args.components.split(",") if part}
-    _emit_dga(restrict_to_components(dga, grading, components), args.output)
+    _emit_dga(restrict_to_components(dga, grading, args.components), args.output)
     return 0
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
+def _components(text: str) -> set[int]:
+    try:
+        return {int(part) for part in text.split(",") if part}
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,16 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("coeffchange", _cmd_coeffchange, "change the coefficient algebra")
     p.add_argument("file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--split", type=int)
-    group.add_argument("--map")
+    p.add_argument("--map", required=True)
     p.add_argument("-o", "--output")
 
     p = add("subdga", _cmd_subdga, "action- or component-restricted sub-DGA")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--action")
-    group.add_argument("--components")
+    group.add_argument("--action", type=_fraction)
+    group.add_argument("--components", type=_components)
     p.add_argument("-o", "--output")
 
     return parser

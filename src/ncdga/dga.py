@@ -112,7 +112,6 @@ class SemifreeDGA:
                 raise AlgebraMismatchError(f"differential of {name} is over the wrong algebra")
             if not value.is_zero():
                 self.differential[name] = value
-        self._index_cache: dict[int, dict] = {}
         self._validate()
 
     # -- basic structure ----------------------------------------------
@@ -193,16 +192,6 @@ class SemifreeDGA:
 
     def max_word_arity(self) -> int:
         return max((v.max_arity() for v in self.differential.values()), default=0)
-
-    def word_index(self, n: int) -> dict[tuple, list]:
-        """Arity-n differential words grouped by generator pattern."""
-        if n not in self._index_cache:
-            index: dict[tuple, list] = {}
-            for name in self.names:
-                for tw, c in self.d_component(name, n).terms.items():
-                    index.setdefault(tw.gens, []).append((name, tw, c))
-            self._index_cache[n] = index
-        return self._index_cache[n]
 
     def sign_parity(self, gens: Iterable[str]) -> int:
         return sum(self.degree(g) for g in gens) % 2

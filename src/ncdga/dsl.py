@@ -461,6 +461,8 @@ def _parse_assignments(
                 stream.expect("-")
                 stream.expect("number")
                 key += "^-1"
+            if key in coeff_images:
+                raise ParseError(f"second image for {key!r}", name.line, name.column)
             stream.expect("=")
             expr = _ExpressionParser(
                 stream, target if target is not None else source, set()

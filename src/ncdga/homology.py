@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .ainfinity import augmented_components, mu_eps_case1, mu_eps_case2
+from .ainfinity import _evaluate_case1, _evaluate_case2, augmented_components
+# re-exported: callers reach the operations through this module too
+from .ainfinity import mu_eps_case1, mu_eps_case2  # noqa: F401
 from .augmentation import Augmentation, push_to_target
 from .dga import SemifreeDGA
 from .errors import (
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .report import Report
 from .rings import Ring
-from .tensor import DualElement, TensorElement, TensorWord, adjoint_formula
+from .tensor import DualElement, TensorElement, TensorWord
 
 
 # -- exact linear algebra over a field ------------------------------------
@@ -267,12 +269,11 @@ def bilinearized_complex(
         left, gen, right = label
         return TensorElement(alg, {TensorWord((left, right), (gen,)): alg.ring.one})
 
-    if case == "II":
-        if not alg.hermitian:
-            raise NotHermitianError(f"{alg} has no hermitian structure")
-        # the arity-one operation is the adjoint of these components; they
-        # do not depend on the column, so build them once per complex
-        components = augmented_components(base, (a0, a1), 1)
+    if case == "II" and not alg.hermitian:
+        raise NotHermitianError(f"{alg} has no hermitian structure")
+    # the arity-one operation reads these components; they do not depend
+    # on the column, so build them once per complex
+    components = augmented_components(base, (a0, a1), 1)
 
     diff: dict[int, list[list]] = {}
     for degree, labels in basis.items():
@@ -282,18 +283,14 @@ def bilinearized_complex(
         matrix = [[alg.ring.zero] * len(labels) for _ in target_labels]
         for col, label in enumerate(labels):
             if case == "I":
-                value = mu_eps_case1(base, (a0, a1), [chain_of(label)])
+                value = _evaluate_case1(base, components, [chain_of(label)])
                 pairs = [
                     ((w, gen), c)
                     for gen, coeff in value.terms.items()
                     for w, c in coeff.terms.items()
                 ]
             else:
-                value = (
-                    adjoint_formula(components, 0, 0, chain_of(label))
-                    if components
-                    else TensorElement.zero(alg)
-                )
+                value = _evaluate_case2(base, components, chain_of(label))
                 pairs = [
                     ((tw.coeffs[0], tw.gens[0], tw.coeffs[1]), c)
                     for tw, c in value.terms.items()
@@ -386,15 +383,17 @@ class HomologyProduct:
         self.h01 = homology(self.cx01)
         self.h12 = homology(self.cx12)
         self.h02 = homology(self.cx02)
+        # the arity-two operation reads these for every product
+        self.components = augmented_components(base, self.augs, 2)
 
     def product_chain(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
         """The chain-level product of two cycles, as a cx02 vector."""
         x = self.cx01.element_of(deg_x, x_vec)
         y = self.cx12.element_of(deg_y, y_vec)
         if self.case == "I":
-            value = mu_eps_case1(self.base, self.augs, [x, y])
+            value = _evaluate_case1(self.base, self.components, [x, y])
         else:
-            value = mu_eps_case2(self.base, self.augs, x * y)
+            value = _evaluate_case2(self.base, self.components, x * y)
         degree = self.output_degree(deg_x, deg_y)
         if degree not in self.cx02.basis:
             if value.is_zero():

@@ -326,14 +326,16 @@ def psi_eval(betas: Sequence[DualElement], element: TensorElement) -> AlgebraEle
     for tw, c in element.terms.items():
         if tw.arity != n:
             raise ArityMismatchError(f"word of arity {tw.arity}, expected {n}")
+        values = [beta.terms.get(gen) for beta, gen in zip(betas, tw.gens)]
+        if any(b is None for b in values):
+            continue
+        # multiply only once every generator matches, and stop at a zero
         value = alg.element(tw.coeffs[0])
-        for i, gen in enumerate(tw.gens):
-            b = betas[i].terms.get(gen)
-            if b is None:
-                value = None
+        for b, slot in zip(values, tw.coeffs[1:]):
+            value = value * b * alg.element(slot)
+            if value.is_zero():
                 break
-            value = value * b * alg.element(tw.coeffs[i + 1])
-        if value is not None:
+        else:
             out = out + value.scale(c)
     return out
 

@@ -23,12 +23,47 @@ from ncdga import (
     homology,
     mu_eps_case2,
     parse_dga,
+    tensor_product,
 )
-from ncdga.ainfinity import _augmented_word, _compositions, augmented_components
+from ncdga.ainfinity import augmented_components
 from ncdga.errors import TupleLengthMismatchError
 from ncdga.homology import Span, _prepare, kernel_basis, solve_in_span
 
 from conftest import XY_SOURCE
+
+
+def _compositions(total, parts):
+    """Every way to write ``total`` as an ordered sum of ``parts`` sizes."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _augmented_word(dga, augs, tw, comp):
+    """Reference: evaluate the augmentation blocks of ``comp`` (block sizes
+    around the survivors) on a differential word, leaving the survivor
+    generators in place; None when a block hits a generator the
+    augmentation kills."""
+    alg = dga.algebra
+    n = len(comp) - 1
+    parts = [alg.element(tw.coeffs[0])]
+    pos = 0
+    for j, block in enumerate(comp):
+        for _ in range(block):
+            value = augs[j].values.get(tw.gens[pos])
+            if value is None:
+                return None
+            parts.append(value)
+            parts.append(alg.element(tw.coeffs[pos + 1]))
+            pos += 1
+        if j < n:
+            parts.append(TensorElement.generator(alg, tw.gens[pos]))
+            parts.append(alg.element(tw.coeffs[pos + 1]))
+            pos += 1
+    return tensor_product(parts, alg)
 
 
 def per_pattern_mu_eps_case2(dga, augs, x):

@@ -179,11 +179,33 @@ def test_subdga_action(tmp_path):
     assert "gen c1" not in text and "gen c2" in text
 
 
-def test_coeffchange_split_and_map(toy_file, tmp_path):
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--action", "1/0", "not a fraction: '1/0'"),
+        ("--action", "abc", "not a fraction: 'abc'"),
+        ("--components", "a,b", "not a comma-separated list of integers: 'a,b'"),
+    ],
+)
+def test_subdga_bad_values_are_usage_errors(toy_file, capsys, option, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["subdga", toy_file, option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_coeffchange_split_and_map(toy_file, tmp_path, capsys):
+    # split coefficients have one path, ncopy --split; coeffchange needs --map
     split = tmp_path / "split.dga"
-    assert main(["coeffchange", toy_file, "--split", "2", "-o", str(split)]) == 0
+    assert main(["ncopy", toy_file, "-n", "2", "--split", "-o", str(split)]) == 0
     assert main(["check", str(split)]) == 0
     assert "algebra split 2 free g1 g2" in split.read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffchange", toy_file, "--split", "2", "-o", str(split)])
+    assert exc.value.code == 2
+    assert "--map" in capsys.readouterr().err
 
     mapfile = tmp_path / "collapse.map"
     mapfile.write_text("target free over Z2\ng1 = 1\ng2 = 1\n")

@@ -252,3 +252,14 @@ def test_bad_augmentation_values_are_parse_errors(xy_dga, text, line, column):
     with pytest.raises(ParseError) as err:
         parse_augmentation(text, xy_dga)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_repeated_coefficient_images_are_parse_errors(toy):
+    text = "target matrix 2 over Z2\ncoeff g1 = E12\ncoeff g2 = E11\ncoeff g1 = E21\n"
+    with pytest.raises(ParseError) as err:
+        parse_augmentation(text, toy)
+    assert (err.value.line, err.value.column) == (4, 7)
+    assert "second image for 'g1'" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_coefficient_map("target free over Z2\ng1 = 1\ng2 = 1\ng1 = 0\n", toy.algebra)
+    assert (err.value.line, err.value.column) == (4, 1)

@@ -99,15 +99,16 @@ def augmented_components(
     component vanishes are left out."""
     _check_tuple(dga, augs, n + 1)
     alg = dga.algebra
-    components: dict[str, TensorElement] = {}
+    components: dict[str, dict] = {}
     for name, tw, coeff, letters in _placements(dga, augs, n):
         parts: list = [alg.element(tw.coeffs[0])]
         for gen, value, slot in zip(tw.gens, letters, tw.coeffs[1:]):
             parts.append(TensorElement.generator(alg, gen) if value is None else value)
             parts.append(alg.element(slot))
-        term = tensor_product(parts, alg).scale(coeff)
-        components[name] = components[name] + term if name in components else term
-    return {name: value for name, value in components.items() if not value.is_zero()}
+        terms = components.setdefault(name, {})
+        for w, c in tensor_product(parts, alg).terms.items():
+            alg.ring.add_term(terms, w, alg.ring.mul(coeff, c))
+    return {name: TensorElement(alg, terms) for name, terms in components.items() if terms}
 
 
 def _evaluate_case1(
@@ -371,6 +372,7 @@ def verify_ainfty(
     alg = dga.algebra
     pool = list(coeff_pool) if coeff_pool is not None else default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
+    residual_of, joiner = (_residual_case1, ", ") if case == "I" else (_residual_case2, " (x) ")
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
         relation = _relation(dga, eps, n)
@@ -379,33 +381,20 @@ def verify_ainfty(
         else:
             patterns = candidate_patterns(dga, eps, n)
         for pattern in patterns:
-            if case == "I":
-                for coeffs in itertools.product(pool, repeat=n):
+            for coeffs in itertools.product(pool, repeat=n if case == "I" else n - 1):
+                if case == "I":
                     inputs = [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
-                    if any(m.is_zero() for m in inputs):
-                        continue
-                    residual = _residual_case1(dga, relation, inputs)
-                    report.record(
-                        residual.is_zero(),
-                        f"arity {n}, inputs "
-                        + ", ".join(str(m) for m in inputs)
-                        + f": residual {residual}",
-                    )
-            else:
-                for coeffs in itertools.product(pool, repeat=n - 1):
-                    inputs = []
-                    for j, g in enumerate(pattern):
-                        m = TensorElement.generator(alg, g)
-                        if j < n - 1:
-                            m = m * TensorElement.from_algebra(coeffs[j])
-                        inputs.append(m)
-                    if any(m.is_zero() for m in inputs):
-                        continue
-                    residual = _residual_case2(dga, relation, inputs)
-                    report.record(
-                        residual.is_zero(),
-                        f"arity {n}, inputs "
-                        + " (x) ".join(str(m) for m in inputs)
-                        + f": residual {residual}",
-                    )
+                else:
+                    inputs = [
+                        TensorElement.generator(alg, g) * TensorElement.from_algebra(b)
+                        for g, b in zip(pattern, coeffs)
+                    ] + [TensorElement.generator(alg, pattern[-1])]
+                if any(m.is_zero() for m in inputs):
+                    continue
+                residual = residual_of(dga, relation, inputs)
+                if residual.is_zero():
+                    report.record(True, "")  # a passing check formats no message
+                else:
+                    listed = joiner.join(str(m) for m in inputs)
+                    report.record(False, f"arity {n}, inputs {listed}: residual {residual}")
     return report

@@ -99,11 +99,7 @@ class CoefficientAlgebra:
     def from_terms(self, terms: Iterable[tuple]) -> "AlgebraElement":
         acc: dict = {}
         for word, coeff in terms:
-            c = self.ring.add(acc.get(word, self.ring.zero), self.ring.coerce(coeff))
-            if self.ring.is_zero(c):
-                acc.pop(word, None)
-            else:
-                acc[word] = c
+            self.ring.add_term(acc, word, self.ring.coerce(coeff))
         return AlgebraElement(self, acc)
 
     def __str__(self):
@@ -406,14 +402,9 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        ring = self.algebra.ring
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = ring.add(out.get(w, ring.zero), c)
-            if ring.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
+            self.algebra.ring.add_term(out, w, c)
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
@@ -444,13 +435,8 @@ class AlgebraElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = alg.mul_words(w1, w2)
-                if w is None:
-                    continue
-                s = ring.add(out.get(w, ring.zero), ring.mul(c1, c2))
-                if ring.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                if w is not None:
+                    ring.add_term(out, w, ring.mul(c1, c2))
         return AlgebraElement(alg, out)
 
     def star(self) -> "AlgebraElement":
@@ -638,9 +624,9 @@ class CoefficientMorphism:
                         raise MorphismIllDefinedError(
                             f"images break {src.word_str(w1)}*{src.word_str(w2)}"
                         )
-            total = tgt.zero()
-            for w in src.unit_words():
-                total = total + self.images[w]
+            total = tgt.from_terms(
+                item for w in src.unit_words() for item in self.images[w].terms.items()
+            )
             if total != tgt.unit():
                 raise MorphismIllDefinedError("images of the diagonal units do not sum to 1")
         elif isinstance(src, GroupRing):
@@ -685,7 +671,10 @@ class CoefficientMorphism:
             raise AlgebraMismatchError("element is not over the morphism's source")
         if self._identity:
             return element
-        out = self.target.zero()
+        ring = self.target.ring
+        out: dict = {}
         for w, c in element.terms.items():
-            out = out + self.apply_word(w).scale(c)
-        return out
+            c = ring.coerce(c)
+            for word, value in self.apply_word(w).terms.items():
+                ring.add_term(out, word, ring.mul(c, value))
+        return AlgebraElement(self.target, out)

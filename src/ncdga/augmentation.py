@@ -65,21 +65,20 @@ class Augmentation:
         """Value of the induced unital algebra morphism on any element."""
         if x.algebra != self.dga.algebra:
             raise AlgebraMismatchError("element is over the wrong algebra")
-        out = self.target.zero()
+        ring = self.target.ring
+        out: dict = {}
         for tw, c in x.terms.items():
-            value = self.morphism.apply(self.dga.algebra.element(tw.coeffs[0]))
-            for i, gen in enumerate(tw.gens):
-                if value.is_zero():
-                    break
+            value = self.morphism.apply_word(tw.coeffs[0])
+            for gen, slot in zip(tw.gens, tw.coeffs[1:]):
                 gen_value = self.values.get(gen)
-                if gen_value is None:
-                    value = self.target.zero()
+                if gen_value is None or value.is_zero():
                     break
-                value = value * gen_value * self.morphism.apply(
-                    self.dga.algebra.element(tw.coeffs[i + 1])
-                )
-            out = out + value.scale(c)
-        return out
+                value = value * gen_value * self.morphism.apply_word(slot)
+            else:
+                c = ring.coerce(c)
+                for w, v in value.terms.items():
+                    ring.add_term(out, w, ring.mul(c, v))
+        return AlgebraElement(self.target, out)
 
     def check(self) -> Report:
         report = Report("augmentation")

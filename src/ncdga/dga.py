@@ -28,7 +28,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .report import Report
-from .tensor import TensorElement, TensorWord, tensor_product
+from .tensor import TensorElement, TensorWord, _splice, tensor_product
 
 
 class Generator(NamedTuple):
@@ -57,20 +57,20 @@ def substitute(
     algebra morphisms commute with the grading.
     """
     alg = target if target is not None else x.algebra
-    out = TensorElement.zero(alg)
+    ring = alg.ring
+    slot = slot_morphism.apply_word if slot_morphism else x.algebra.element
+    out: dict = {}
     for tw, c in x.terms.items():
-        factors: list = []
-        for i, gen in enumerate(tw.gens):
-            slot = x.algebra.element(tw.coeffs[i])
-            factors.append(slot_morphism.apply(slot) if slot_morphism else slot)
+        factors: list = [slot(tw.coeffs[0])]
+        for gen, word in zip(tw.gens, tw.coeffs[1:]):
             image = gen_images.get(gen)
             if image is None:
                 raise DegreeUnknownError(f"no image for generator {gen}")
-            factors.append(image)
-        last = x.algebra.element(tw.coeffs[-1])
-        factors.append(slot_morphism.apply(last) if slot_morphism else last)
-        out = out + tensor_product(factors, alg).scale(c)
-    return out
+            factors += [image, slot(word)]
+        c = ring.coerce(c)
+        for w, v in tensor_product(factors, alg).terms.items():
+            ring.add_term(out, w, ring.mul(c, v))
+    return TensorElement(alg, out)
 
 
 class SemifreeDGA:
@@ -203,7 +203,7 @@ class SemifreeDGA:
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("element is over the wrong algebra")
         ring = self.algebra.ring
-        out = TensorElement.zero(self.algebra)
+        out: dict = {}
         for tw, c in x.terms.items():
             for p in range(tw.arity):
                 value = self.differential.get(tw.gens[p])
@@ -211,14 +211,8 @@ class SemifreeDGA:
                     self.degree(tw.gens[p])
                     continue
                 coeff = ring.neg(c) if self.sign_parity(tw.gens[:p]) else c
-                prefix = TensorElement(
-                    self.algebra, {TensorWord(tw.coeffs[: p + 1], tw.gens[:p]): coeff}
-                )
-                suffix = TensorElement(
-                    self.algebra, {TensorWord(tw.coeffs[p + 1 :], tw.gens[p + 1 :]): ring.one}
-                )
-                out = out + prefix * value * suffix
-        return out
+                _splice(out, tw, coeff, p, value)
+        return TensorElement(self.algebra, out)
 
     def check_d_squared(self) -> Report:
         report = Report("d^2 = 0")
@@ -233,7 +227,7 @@ class SemifreeDGA:
         ring = self.algebra.ring
         report = Report(f"component relation at arity {n}")
         for name in self.names:
-            total = TensorElement.zero(self.algebra)
+            total: dict = {}
             for k in range(1, self.max_word_arity() + 1):
                 l = n + 1 - k
                 if l < 0:
@@ -244,19 +238,10 @@ class SemifreeDGA:
                 for i in range(k):
                     for tw, c in dk.terms.items():
                         inner = self.d_component(tw.gens[i], l)
-                        if inner.is_zero():
-                            continue
                         coeff = ring.neg(c) if self.sign_parity(tw.gens[:i]) else c
-                        prefix = TensorElement(
-                            self.algebra,
-                            {TensorWord(tw.coeffs[: i + 1], tw.gens[:i]): coeff},
-                        )
-                        suffix = TensorElement(
-                            self.algebra,
-                            {TensorWord(tw.coeffs[i + 1 :], tw.gens[i + 1 :]): ring.one},
-                        )
-                        total = total + prefix * inner * suffix
-            report.record(total.is_zero(), f"relation fails at {name}: {total}")
+                        _splice(total, tw, coeff, i, inner)
+            residual = TensorElement(self.algebra, total)
+            report.record(not total, f"relation fails at {name}: {residual}")
         return report
 
     # -- constructions -------------------------------------------------

@@ -11,12 +11,15 @@ Grammar (``#`` starts a comment, statements end at a newline or ``;``)::
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := atom ('*' atom)*
-    atom   := scalar | ident ['^-1'] | matrix-literal | '(' expr ')'
+    atom   := scalar | ident ['^-1'] | unit ['^-1'] | matrix-literal | '(' expr ')'
+    unit   := 'E' '(' int ',' int ')'
     scalar := int ['/' int]
 
 Identifiers resolve to declared generators or to the algebra's symbols
-(g1, E12, e1, ...).  Augmentation files assign values to generators, with
-an optional ``target`` declaration and ``coeff`` lines for the coefficient
+(g1, E12, e1, ...).  ``unit`` is the matrix unit E(i,j) of ``matrix n``,
+1 <= i, j <= n; the printer writes it for n >= 10, where E12 would be
+ambiguous.  Augmentation files assign values to generators, with an
+optional ``target`` declaration and ``coeff`` lines for the coefficient
 morphism; the same statements serve as coefficient-map files.
 """
 
@@ -273,6 +276,9 @@ class _ExpressionParser:
             ) from None
 
     def _resolve(self, tok: Token) -> TensorElement:
+        nxt = self.stream.peek()
+        if tok.text == "E" and isinstance(self.algebra, MatrixAlgebra) and nxt and nxt.kind == "(":
+            return self._matrix_unit()
         if tok.text in self.generators:
             return TensorElement.generator(self.algebra, tok.text)
         if tok.text in self.symbols:
@@ -282,6 +288,19 @@ class _ExpressionParser:
         raise UnknownGeneratorError(
             f"unknown generator or symbol {tok.text!r}", tok.line, tok.column
         )
+
+    def _matrix_unit(self) -> TensorElement:
+        """The matrix unit E(i,j), read from the opening parenthesis on."""
+        stream, n = self.stream, self.algebra.n
+        indices = []
+        for before in ("(", ","):
+            stream.expect(before, repr(before))
+            tok = stream.peek()
+            indices.append(_parse_int(stream))
+            if not 1 <= indices[-1] <= n:
+                raise ParseError(f"E index {indices[-1]} is not in 1..{n}", tok.line, tok.column)
+        stream.expect(")", "')'")
+        return TensorElement.from_algebra(self.algebra.element(tuple(indices)))
 
     def _invert(self, value: TensorElement, tok: Token) -> TensorElement:
         constant = value.constant_part()

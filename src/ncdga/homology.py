@@ -16,6 +16,7 @@ from typing import Sequence
 from .ainfinity import _evaluate_case1, _evaluate_case2, augmented_components
 # re-exported: callers reach the operations through this module too
 from .ainfinity import mu_eps_case1, mu_eps_case2  # noqa: F401
+from .algebra import AlgebraElement
 from .augmentation import Augmentation, push_to_target
 from .dga import SemifreeDGA
 from .errors import (
@@ -155,37 +156,28 @@ class ChainComplex:
         return self.diff.get(degree, [])
 
     def _check_squares(self):
-        ring = self.field
         for degree in self.degrees():
             m1 = self.matrix(degree)
-            m2 = self.matrix(self._next(degree))
-            if not m1 or not m2:
+            if not m1 or not self.matrix(self._next(degree)):
                 continue
             for col in range(len(self.basis[degree])):
-                image = [row[col] for row in m1]
-                for i in range(len(m2)):
-                    total = ring.zero
-                    for j, c in enumerate(image):
-                        total = ring.add(total, ring.mul(m2[i][j], c))
-                    if not ring.is_zero(total):
-                        raise NotAComplexError(
-                            f"d^2 != 0 out of degree {degree}, column {col}"
-                        )
+                image = self.apply_d(self._next(degree), [row[col] for row in m1])
+                if not all(self.field.is_zero(c) for c in image):
+                    raise NotAComplexError(f"d^2 != 0 out of degree {degree}, column {col}")
 
     def element_of(self, degree: int, vector: list):
         """Chain with the given coordinates, as a library element."""
         labels = self.basis[degree]
         alg = self.dga.algebra
         if self.case == "I":
-            out = DualElement.zero(alg)
+            terms: dict = {}
             for c, (word, gen) in zip(vector, labels):
-                out = out + DualElement.term(alg.element(word, c), gen)
-            return out
-        out = TensorElement.zero(alg)
+                alg.ring.add_term(terms.setdefault(gen, {}), word, c)
+            return DualElement(alg, {g: AlgebraElement(alg, t) for g, t in terms.items()})
+        out: dict = {}
         for c, (left, gen, right) in zip(vector, labels):
-            if not alg.ring.is_zero(c):
-                out = out + TensorElement(alg, {TensorWord((left, right), (gen,)): c})
-        return out
+            alg.ring.add_term(out, TensorWord((left, right), (gen,)), c)
+        return TensorElement(alg, out)
 
     def vector_of(self, degree: int, element) -> list:
         labels = self.basis[degree]
@@ -321,15 +313,8 @@ class HomologyResult:
                         span.add([row[col] for row in matrix])
             self.image_spans[degree] = span
         for degree in degrees:
-            width = len(cx.basis[degree])
-            matrix = cx.matrix(degree)
-            if matrix:
-                cycles = kernel_basis(matrix, width, ring)
-            else:
-                cycles = [
-                    [ring.one if i == j else ring.zero for j in range(width)]
-                    for i in range(width)
-                ]
+            # with no rows the kernel is everything: the unit vectors
+            cycles = kernel_basis(cx.matrix(degree), len(cx.basis[degree]), ring)
             span = self.image_spans[degree].copy()
             reps = [z for z in cycles if span.add(z)]
             self.dims[degree] = len(reps)

@@ -14,15 +14,24 @@ from fractions import Fraction
 from .errors import NcdgaError
 
 
+# Miller-Rabin with these bases is exact below this bound
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    if n >= _PRIME_BOUND:
+        raise NcdgaError(f"moduli of {_PRIME_BOUND} and above are not supported, got {n}")
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # a witnesses compositeness unless a^d = 1 or a^(2^r d) = -1 for some r < s
+    return not any(
+        pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s))
+        for a in _PRIME_BASES
+    )
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,16 @@ class Ring:
 
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Zp" else a + b
+
+    def add_term(self, terms: dict, key, value) -> None:
+        """Add value at key of a sparse term map, in place; a key whose
+        sum is zero is dropped, so term maps never hold a zero."""
+        old = terms.get(key)
+        total = value if old is None else self.add(old, value)
+        if self.is_zero(total):
+            terms.pop(key, None)
+        else:
+            terms[key] = total
 
     def sub(self, a, b):
         return (a - b) % self.p if self.kind == "Zp" else a - b

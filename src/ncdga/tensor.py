@@ -120,14 +120,9 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check(other)
-        ring = self.algebra.ring
         out = dict(self.terms)
         for tw, c in other.terms.items():
-            s = ring.add(out.get(tw, ring.zero), c)
-            if ring.is_zero(s):
-                out.pop(tw, None)
-            else:
-                out[tw] = s
+            self.algebra.ring.add_term(out, tw, c)
         return TensorElement(self.algebra, out)
 
     def __neg__(self):
@@ -159,17 +154,12 @@ class TensorElement:
         for tw1, c1 in self.terms.items():
             for tw2, c2 in other.terms.items():
                 mid = alg.mul_words(tw1.coeffs[-1], tw2.coeffs[0])
-                if mid is None:
-                    continue
-                tw = TensorWord(
-                    tw1.coeffs[:-1] + (mid,) + tw2.coeffs[1:],
-                    tw1.gens + tw2.gens,
-                )
-                s = ring.add(out.get(tw, ring.zero), ring.mul(c1, c2))
-                if ring.is_zero(s):
-                    out.pop(tw, None)
-                else:
-                    out[tw] = s
+                if mid is not None:
+                    tw = TensorWord(
+                        tw1.coeffs[:-1] + (mid,) + tw2.coeffs[1:],
+                        tw1.gens + tw2.gens,
+                    )
+                    ring.add_term(out, tw, ring.mul(c1, c2))
         return TensorElement(alg, out)
 
     def __eq__(self, other):
@@ -276,7 +266,8 @@ class DualElement:
         """Evaluate the bimodule functional on an arity-one element."""
         if element.algebra != self.algebra:
             raise AlgebraMismatchError("mixed algebras in dual evaluation")
-        out = self.algebra.zero()
+        ring = self.algebra.ring
+        out: dict = {}
         for tw, c in element.terms.items():
             if tw.arity != 1:
                 raise ArityMismatchError("dual evaluation needs an arity-1 element")
@@ -285,8 +276,9 @@ class DualElement:
                 continue
             left = self.algebra.element(tw.coeffs[0])
             right = self.algebra.element(tw.coeffs[1])
-            out = out + (left * b * right).scale(c)
-        return out
+            for w, v in (left * b * right).terms.items():
+                ring.add_term(out, w, ring.mul(c, v))
+        return AlgebraElement(self.algebra, out)
 
     def __str__(self):
         if not self.terms:
@@ -322,7 +314,8 @@ def psi_eval(betas: Sequence[DualElement], element: TensorElement) -> AlgebraEle
     for beta in betas:
         if beta.algebra != alg:
             raise AlgebraMismatchError("mixed algebras in psi evaluation")
-    out = alg.zero()
+    ring = alg.ring
+    out: dict = {}
     for tw, c in element.terms.items():
         if tw.arity != n:
             raise ArityMismatchError(f"word of arity {tw.arity}, expected {n}")
@@ -336,8 +329,9 @@ def psi_eval(betas: Sequence[DualElement], element: TensorElement) -> AlgebraEle
             if value.is_zero():
                 break
         else:
-            out = out + value.scale(c)
-    return out
+            for w, v in value.terms.items():
+                ring.add_term(out, w, ring.mul(c, v))
+    return AlgebraElement(alg, out)
 
 
 def _word_t(algebra: CoefficientAlgebra, w1, w2):
@@ -381,22 +375,41 @@ def _morphism_arity(f_values: Mapping[str, TensorElement]) -> int:
     return n
 
 
+def _splice(out: dict, tw: TensorWord, c, k: int, image: TensorElement) -> None:
+    """Add c * (prefix . image . suffix) to the term map ``out``: the word
+    ``tw`` with its k-th generator (from 0) replaced by ``image``, whose end
+    slots absorb the slots around that generator."""
+    alg = image.algebra
+    ring = alg.ring
+    left, right = tw.coeffs[k], tw.coeffs[k + 1]
+    for iw, ic in image.terms.items():
+        first = alg.mul_words(left, iw.coeffs[0])
+        if first is None:
+            continue
+        slots = (first,) + iw.coeffs[1:]
+        last = alg.mul_words(slots[-1], right)
+        if last is None:
+            continue
+        word = TensorWord(
+            tw.coeffs[:k] + slots[:-1] + (last,) + tw.coeffs[k + 2 :],
+            tw.gens[:k] + iw.gens + tw.gens[k + 1 :],
+        )
+        ring.add_term(out, word, ring.mul(c, ic))
+
+
 def apply_block(
     f_values: Mapping[str, TensorElement], k: int, l: int, x: TensorElement
 ) -> TensorElement:
     """Apply id^k x f x id^l, where f is given by generator images."""
-    alg = x.algebra
-    out = TensorElement.zero(alg)
+    out: dict = {}
     for tw, c in x.terms.items():
         if tw.arity != k + 1 + l:
             raise ArityMismatchError(f"word arity {tw.arity}, expected {k + 1 + l}")
         image = f_values.get(tw.gens[k])
-        if image is None or image.is_zero():
-            continue
-        prefix = TensorElement(alg, {TensorWord(tw.coeffs[: k + 1], tw.gens[:k]): c})
-        suffix = TensorElement(alg, {TensorWord(tw.coeffs[k + 1 :], tw.gens[k + 1 :]): alg.ring.one})
-        out = out + prefix * image * suffix
-    return out
+        if image is not None:
+            x._check(image)
+            _splice(out, tw, c, k, image)
+    return TensorElement(x.algebra, out)
 
 
 def adjoint_formula(
@@ -417,7 +430,7 @@ def adjoint_formula(
         raise NotHermitianError(f"{alg} has no star involution")
     ring = alg.ring
     n = _morphism_arity(f_values)
-    out = TensorElement.zero(alg)
+    out: dict = {}
     for tw, cy in y.terms.items():
         if tw.arity != k + n + l:
             raise ArityMismatchError(f"input arity {tw.arity}, expected {k + n + l}")
@@ -443,8 +456,8 @@ def adjoint_formula(
                     tw.coeffs[:k] + (left, right) + tw.coeffs[k + n + 1 :],
                     tw.gens[:k] + (gen,) + tw.gens[k + n :],
                 )
-                out = out + TensorElement(alg, {word: factor})
-    return out
+                ring.add_term(out, word, factor)
+    return TensorElement(alg, out)
 
 
 def adjoint_bruteforce(

@@ -279,18 +279,25 @@ def test_candidates_cover_exhaustive(toy, toy_h):
                     assert outer.is_zero()
 
 
-def test_verify_ainfty_detects_broken_relations(toy):
+def test_verify_ainfty_detects_broken_relations(toy, toy_h):
     from ncdga.dga import SemifreeDGA
 
-    broken = SemifreeDGA(
-        toy.algebra,
-        toy.generators,
-        {k: v for k, v in toy.differential.items() if k != "c3"},
-        toy.modulus,
-    )
+    def without_c3(dga):
+        differential = {k: v for k, v in dga.differential.items() if k != "c3"}
+        return SemifreeDGA(dga.algebra, dga.generators, differential, dga.modulus)
+
+    broken = without_c3(toy)
     assert not broken.check_d_squared().ok
     report = verify_ainfty(broken, [Augmentation.trivial(broken)], "I", 2)
     assert not report.ok
+    # passing checks format no message, a failing one names its inputs
+    # and the residual
+    assert (report.checks, len(report.violations)) == (16, 16)
+    assert report.violations[0] == "arity 2, inputs c5, c4: residual g2*g1*c1"
+    broken_h = without_c3(toy_h)
+    report = verify_ainfty(broken_h, [Augmentation.trivial(broken_h)], "II", 2)
+    assert report.checks == 4
+    assert report.violations == ["arity 2, inputs c5*g2*g1 (x) c4: residual c1"]
 
 
 def test_verify_ainfty_q_signs(q_corpus):

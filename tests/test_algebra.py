@@ -1,6 +1,7 @@
 """Scalar rings, coefficient algebras, star involutions, trace pairings."""
 
 import itertools
+import time
 
 import pytest
 from fractions import Fraction
@@ -38,6 +39,31 @@ def test_ring_arithmetic_is_exact():
         Zp(6)
     with pytest.raises(NcdgaError):
         Z.inv(2)
+
+
+def _is_prime_field(p):
+    try:
+        Zp(p)
+    except NcdgaError:
+        return False
+    return True
+
+
+def test_prime_moduli_up_to_the_miller_rabin_bound():
+    """Deterministic Miller-Rabin decides primality below its exactness
+    bound; larger moduli are refused at once instead of trial-divided."""
+    by_trial_division = [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
+    assert [n for n in range(3000) if _is_prime_field(n)] == by_trial_division
+    start = time.perf_counter()
+    largest = 3317044064679887385961813  # the largest prime below the bound
+    assert Zp(largest).inv(2) * 2 % largest == 1
+    # a Carmichael number and strong pseudoprimes to the first 1, 4 and 9 prime bases
+    for composite in (561, 2047, 3215031751, 3825123056546413051):
+        with pytest.raises(NcdgaError, match="not a prime field"):
+            Zp(composite)
+    with pytest.raises(NcdgaError, match="3317044064679887385961981 and above"):
+        Zp(2**127 - 1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_addition_examples():

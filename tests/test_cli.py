@@ -61,6 +61,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("ring Z2\nalgebra free g1\ngen a deg 1\nd a = b\n")
     assert main(["check", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+    # a modulus past the exact primality bound is refused, not tested for hours
+    bad.write_text(f"ring Z{2**127 - 1}\nalgebra free g1\n")
+    assert main(["check", str(bad)]) == 2
+    assert "3317044064679887385961981 and above" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

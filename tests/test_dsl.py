@@ -45,6 +45,23 @@ def test_round_trip_corpus(toy, toy_h, q_corpus, xy_dga, aug_p):
         assert reparse(dga) == dga
 
 
+def test_round_trip_matrix_10(xy_dga):
+    """Over matrix n with n >= 10 the printer writes E(i,j), which the
+    parser reads back; below 10 the E12 spelling stays and E(i,j) means
+    the same unit."""
+    cycle = " + ".join(f"E({i},{i % 10 + 1})" for i in range(1, 11))
+    inverse = " + ".join(f"E({i % 10 + 1},{i})" for i in range(1, 11))
+    aug = parse_augmentation(f"target matrix 10 over Z2\nx = {cycle}\ny = {inverse}\n", xy_dga)
+    developed = aug.develop()
+    text = print_dga(developed)
+    assert "E(10,1)" in text and "E(1,10)" in text
+    assert reparse(developed) == developed
+    assert print_dga(reparse(developed)) == text
+    m2 = parse_augmentation("target matrix 2 over Z2\nx = E(1,2) + E(2,1)\ny = E21 + E12\n", xy_dga)
+    assert m2.values["x"] == m2.values["y"]
+    assert "E12" in print_dga(m2.develop())
+
+
 def test_round_trip_is_fixed_point(toy_h):
     once = print_dga(toy_h)
     assert print_dga(parse_dga(once)) == once
@@ -232,6 +249,9 @@ def test_builtin_sources():
         ("ring Z\nalgebra free g1\ngen a deg 1\ngen x deg 0\nd a = 1/2*x\n", 5, 7),
         ("ring Q\nalgebra free g1\ngen a deg 1 action 1/0\n", 3, 22),
         ("ring Z2\nalgebra free g1\ngen a deg 1\ngen x deg 0\nd a = x\nd a = g1*x\n", 6, 3),
+        # matrix units E(i,j) with an index outside 1..n
+        ("ring Z2\nalgebra matrix 10\ngen a deg 1\ngen x deg 0\nd a = E(11,1)*x\n", 5, 9),
+        ("ring Z2\nalgebra matrix 2\ngen a deg 1\ngen x deg 0\nd a = x*E(1, 0)\n", 5, 14),
     ],
 )
 def test_bad_scalars_and_repeated_differentials_are_parse_errors(source, line, column):

@@ -16,8 +16,12 @@ n, with n of its letters kept as survivors and every other letter replaced
 by its augmentation value, the block of a letter being the number of
 survivors in front of it.  The sums are finite because the differential
 has words of bounded length.  Case I evaluates the components slot by
-slot, case II takes their trace-pairing adjoint.  Relation checking
-enumerates, for each splitting of the relation, the input patterns that
+slot, case II takes their trace-pairing adjoint.
+
+Relation checking composes each arity-n relation once (:func:`_relation`),
+as the eps-augmented arity-n part of d^2, and evaluates it for every check
+with the operation's own evaluator (the adjoint of a composite is the
+composite of the adjoints).  The checks run over the input patterns that
 could make a term nonzero (the survivors of some placement), so tuples
 outside that set vanish term by term and the report is exact without
 exhausting the full input space.
@@ -43,6 +47,7 @@ from .tensor import (
     DualElement,
     TensorElement,
     TensorWord,
+    _splice,
     adjoint_formula,
     psi_eval,
     tensor_product,
@@ -239,13 +244,6 @@ def default_coeff_pool(algebra) -> list[AlgebraElement]:
     return [algebra.unit()]
 
 
-def _dual_degree(dga: SemifreeDGA, m: DualElement) -> int:
-    degrees = {dga.degree(g) for g in m.terms}
-    if len(degrees) != 1:
-        raise ArityMismatchError("inhomogeneous functional in relation check")
-    return degrees.pop()
-
-
 def _pattern_matches(
     dga: SemifreeDGA, augs: Sequence[Augmentation], l: int
 ) -> set[tuple[tuple[str, ...], str]]:
@@ -259,23 +257,43 @@ def _pattern_matches(
     }
 
 
-def _splits(augs: Sequence[Augmentation], n: int):
+def _splits(dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, build):
     """The terms of the arity-n relation: an inner operation of arity l
-    placed at input i of an outer one of arity n + 1 - l, as (l, i, inner
-    augmentation tuple, outer augmentation tuple)."""
+    placed at input i of an outer one of arity n + 1 - l, as (i, inner,
+    outer), each part built by ``build(dga, augmentation tuple, arity)``
+    once per distinct tuple and arity (augmentations hash by identity)."""
     eps = tuple(augs)
+    built: dict = {}
     for l in range(1, n + 1):
         for i in range(1, n + 2 - l):
-            yield l, i, eps[i - 1 : i + l], eps[:i] + eps[i + l - 1 :]
+            keys = (eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)
+            for key in keys:
+                if key not in built:
+                    built[key] = build(dga, *key)
+            yield i, built[keys[0]], built[keys[1]]
 
 
-def _relation(dga: SemifreeDGA, augs: Sequence[Augmentation], n: int) -> list:
-    """The inner and outer components of every term of the arity-n
-    relation; they do not depend on the inputs."""
-    return [
-        (l, i, augmented_components(dga, inner, l), augmented_components(dga, outer, n + 1 - l))
-        for l, i, inner, outer in _splits(augs, n)
-    ]
+def _relation(
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
+) -> dict[str, TensorElement]:
+    """The composed arity-n relation, the eps-augmented arity-n part of
+    d^2: per generator, the sum over the splits of the outer component with
+    the letter at the inner operation's input spliced into that letter's
+    inner component, signed by the parity of the letters in front of it.
+    Slot products are associative, so one evaluation of it is the signed
+    sum of every split's outer operation on its inner one.  Generators
+    whose relation vanishes are left out."""
+    ring = dga.algebra.ring
+    relation: dict[str, dict] = {}
+    for i, inner, outers in _splits(dga, augs, n, augmented_components):
+        for name, outer in outers.items():
+            terms = relation.setdefault(name, {})
+            for tw, c in outer.terms.items():
+                image = inner.get(tw.gens[i - 1])
+                if image is not None:
+                    sign = dga.sign_parity(tw.gens[: i - 1])
+                    _splice(terms, tw, ring.neg(c) if sign else c, i - 1, image)
+    return {name: TensorElement(dga.algebra, terms) for name, terms in relation.items() if terms}
 
 
 def candidate_patterns(
@@ -284,9 +302,7 @@ def candidate_patterns(
     """Input generator patterns for which some term of the arity-n
     relation can be nonzero.  Every other pattern vanishes term by term."""
     patterns: set[tuple[str, ...]] = set()
-    for l, i, inner_eps, outer_eps in _splits(augs, n):
-        inner = _pattern_matches(dga, inner_eps, l)
-        outer = _pattern_matches(dga, outer_eps, n + 1 - l)
+    for i, inner, outer in _splits(dga, augs, n, _pattern_matches):
         by_slot: dict[str, list[tuple[str, ...]]] = {}
         for pat_out, _name in outer:
             by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
@@ -296,53 +312,20 @@ def candidate_patterns(
     return sorted(patterns)
 
 
-def _residual_case1(
-    dga: SemifreeDGA, relation: list, inputs: Sequence[DualElement]
-) -> DualElement:
-    total = DualElement.zero(dga.algebra)
-    for l, i, inner_components, outer_components in relation:
-        inner = _evaluate_case1(dga, inner_components, inputs[i - 1 : i - 1 + l])
-        if inner.is_zero():
-            continue
-        outer_inputs = list(inputs[: i - 1]) + [inner] + list(inputs[i - 1 + l :])
-        outer = _evaluate_case1(dga, outer_components, outer_inputs)
-        parity = sum(_dual_degree(dga, m) for m in inputs[: i - 1]) % 2
-        total = total + (outer.scale(-1) if parity else outer)
-    return total
-
-
-def _residual_case2(
-    dga: SemifreeDGA, relation: list, inputs: Sequence[TensorElement]
-) -> TensorElement:
-    total = TensorElement.zero(dga.algebra)
-    for l, i, inner_components, outer_components in relation:
-        inner = _evaluate_case2(
-            dga, inner_components, tensor_product(inputs[i - 1 : i - 1 + l])
-        )
-        if inner.is_zero():
-            continue
-        spliced = tensor_product(list(inputs[: i - 1]) + [inner] + list(inputs[i - 1 + l :]))
-        if spliced.is_zero():
-            continue
-        outer = _evaluate_case2(dga, outer_components, spliced)
-        parity = sum(dga.element_degree(m) or 0 for m in inputs[: i - 1]) % 2
-        total = total + (outer.scale(-1) if parity else outer)
-    return total
-
-
 def ainfty_residual_case1(
     dga: SemifreeDGA, augs: Sequence[Augmentation], inputs: Sequence[DualElement]
 ) -> DualElement:
     """Signed double sum of the arity-n relation; zero when the theorem
-    holds.  The sign of a term is the parity of the generator degrees of
-    the inputs standing left of the inner operation."""
-    return _residual_case1(dga, _relation(dga, augs, len(inputs)), inputs)
+    holds.  The sign of a term is the parity of the degrees of the
+    generators standing left of the inner operation, taken word by word, so
+    inhomogeneous inputs are extended multilinearly."""
+    return _evaluate_case1(dga, _relation(dga, augs, len(inputs)), inputs)
 
 
 def ainfty_residual_case2(
     dga: SemifreeDGA, augs: Sequence[Augmentation], inputs: Sequence[TensorElement]
 ) -> TensorElement:
-    return _residual_case2(dga, _relation(dga, augs, len(inputs)), inputs)
+    return _evaluate_case2(dga, _relation(dga, augs, len(inputs)), tensor_product(inputs))
 
 
 def verify_ainfty(
@@ -372,7 +355,7 @@ def verify_ainfty(
     alg = dga.algebra
     pool = list(coeff_pool) if coeff_pool is not None else default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
-    residual_of, joiner = (_residual_case1, ", ") if case == "I" else (_residual_case2, " (x) ")
+    joiner = ", " if case == "I" else " (x) "
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
         relation = _relation(dga, eps, n)
@@ -391,7 +374,10 @@ def verify_ainfty(
                     ] + [TensorElement.generator(alg, pattern[-1])]
                 if any(m.is_zero() for m in inputs):
                     continue
-                residual = residual_of(dga, relation, inputs)
+                if case == "I":
+                    residual = _evaluate_case1(dga, relation, inputs)
+                else:
+                    residual = _evaluate_case2(dga, relation, tensor_product(inputs))
                 if residual.is_zero():
                     report.record(True, "")  # a passing check formats no message
                 else:

@@ -218,7 +218,8 @@ class SemifreeDGA:
         report = Report("d^2 = 0")
         for name in self.names:
             residual = self.d(self.d_of_generator(name))
-            report.record(residual.is_zero(), f"d^2({name}) = {residual}")
+            ok = residual.is_zero()
+            report.record(ok, "" if ok else f"d^2({name}) = {residual}")
         return report
 
     def check_component_relations(self, n: int) -> Report:
@@ -241,7 +242,7 @@ class SemifreeDGA:
                         coeff = ring.neg(c) if self.sign_parity(tw.gens[:i]) else c
                         _splice(total, tw, coeff, i, inner)
             residual = TensorElement(self.algebra, total)
-            report.record(not total, f"relation fails at {name}: {residual}")
+            report.record(not total, f"relation fails at {name}: {residual}" if total else "")
         return report
 
     # -- constructions -------------------------------------------------

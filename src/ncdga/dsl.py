@@ -20,7 +20,8 @@ Identifiers resolve to declared generators or to the algebra's symbols
 1 <= i, j <= n; the printer writes it for n >= 10, where E12 would be
 ambiguous.  Augmentation files assign values to generators, with an
 optional ``target`` declaration and ``coeff`` lines for the coefficient
-morphism; the same statements serve as coefficient-map files.
+morphism, keyed by a source symbol or ``unit``; the same statements serve
+as coefficient-map files.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ class _ExpressionParser:
     def _resolve(self, tok: Token) -> TensorElement:
         nxt = self.stream.peek()
         if tok.text == "E" and isinstance(self.algebra, MatrixAlgebra) and nxt and nxt.kind == "(":
-            return self._matrix_unit()
+            return TensorElement.from_algebra(self.algebra.element(self._matrix_unit()))
         if tok.text in self.generators:
             return TensorElement.generator(self.algebra, tok.text)
         if tok.text in self.symbols:
@@ -289,8 +290,9 @@ class _ExpressionParser:
             f"unknown generator or symbol {tok.text!r}", tok.line, tok.column
         )
 
-    def _matrix_unit(self) -> TensorElement:
-        """The matrix unit E(i,j), read from the opening parenthesis on."""
+    def _matrix_unit(self) -> tuple[int, int]:
+        """The word (i, j) of the matrix unit E(i,j), read from the opening
+        parenthesis on."""
         stream, n = self.stream, self.algebra.n
         indices = []
         for before in ("(", ","):
@@ -300,7 +302,7 @@ class _ExpressionParser:
             if not 1 <= indices[-1] <= n:
                 raise ParseError(f"E index {indices[-1]} is not in 1..{n}", tok.line, tok.column)
         stream.expect(")", "')'")
-        return TensorElement.from_algebra(self.algebra.element(tuple(indices)))
+        return tuple(indices)
 
     def _invert(self, value: TensorElement, tok: Token) -> TensorElement:
         constant = value.constant_part()
@@ -475,6 +477,9 @@ def _parse_assignments(
         elif tok.text == "coeff" or coeff_only:
             name = stream.expect("ident", "an algebra symbol") if tok.text == "coeff" else tok
             key = name.text
+            nxt = stream.peek()
+            if key == "E" and isinstance(source, MatrixAlgebra) and nxt and nxt.kind == "(":
+                key = source.word_str(_ExpressionParser(stream, source, set())._matrix_unit())
             if (nxt := stream.peek()) is not None and nxt.kind == "^":
                 stream.next()
                 stream.expect("-")
@@ -512,12 +517,14 @@ def _parse_assignments(
 
 def _morphism_from_images(source, target, coeff_images) -> CoefficientMorphism:
     images = {}
+    if isinstance(source, MatrixAlgebra):
+        units = {source.word_str(w): w for w in source.words()}
     for key, (tok, expr) in coeff_images.items():
         value = expr.constant_part()
         if isinstance(source, MatrixAlgebra):
-            if not (key.startswith("E") and len(key) == 3 and key[1:].isdigit()):
+            if key not in units:
                 raise ParseError(f"coeff key {key!r} is not a matrix unit", tok.line, tok.column)
-            images[(int(key[1]), int(key[2]))] = value
+            images[units[key]] = value
         elif isinstance(source, (FreeAlgebra, GroupRing)):
             base = key.removesuffix("^-1")
             inverse = key.endswith("^-1")

@@ -203,6 +203,11 @@ def test_check_hermitian_axioms_flags_corrupted_star():
 
     report = check_hermitian_axioms(m2, samples, star=corrupted)
     assert not report.ok
+    assert (report.checks, len(report.violations)) == (180, 15)
+    assert report.violations[0] == "star not involutive on E21"
+    # a pairing that is zero everywhere fails only the Gram diagonal
+    report = check_hermitian_axioms(m2, samples, pairing=lambda a, b: Z2.zero)
+    assert report.violations == [f"gram entry t(E{i},E{i}) = 0" for i in (11, 12, 21, 22)]
 
 
 def test_reversal_star_on_free_monomials_is_not_hermitian():

@@ -76,6 +76,8 @@ def test_check_d_squared(toy):
     report = broken.check_d_squared()
     assert not report.ok
     assert any("c1" in v for v in report.violations)
+    report = corrupt(toy, "c2").check_d_squared()
+    assert report.violations == ["d^2(c1) = c5*g2*g1*c4"]
     trivial = SemifreeDGA(toy.algebra, toy.generators, {}, 0)
     assert trivial.check_d_squared().ok
 
@@ -99,6 +101,9 @@ def test_component_relations_match_d_squared(toy, q_corpus, n):
     broken = corrupt(toy, "c3")
     all_ok = all(broken.check_component_relations(m).ok for m in range(4))
     assert not all_ok
+    report = corrupt(toy, "c2").check_component_relations(n)
+    assert report.checks == len(toy.names)
+    assert report.violations == (["relation fails at c1: c5*g2*g1*c4"] if n == 2 else [])
 
 
 def test_component_relation_vacuous_beyond_word_length(toy):

@@ -3,6 +3,8 @@
 import pytest
 
 from ncdga import (
+    MatrixAlgebra,
+    Z2,
     builtin_source,
     ncopy,
     ncopy_via_split,
@@ -192,6 +194,29 @@ def test_parse_coefficient_map(toy):
     )
     collapsed = toy.change_coefficients(morphism)
     assert collapsed.check_d_squared().ok
+
+
+def test_parse_coefficient_map_out_of_matrix_10():
+    """Over matrix n with n >= 10 a coefficient map names its units E(i,j),
+    with or without the coeff keyword; E12 is no unit there."""
+    m10 = MatrixAlgebra(10, Z2)
+    shift = lambda i: i % 10 + 1
+    lines = [
+        f"{'coeff ' if i % 2 else ''}E({i},{j}) = E({shift(i)},{shift(j)})"
+        for i in range(1, 11)
+        for j in range(1, 11)
+    ]
+    morphism = parse_coefficient_map("target matrix 10 over Z2\n" + "\n".join(lines), m10)
+    for i, j in m10.words():
+        assert morphism.apply(m10.element((i, j))) == m10.element((shift(i), shift(j)))
+    for text, line, column in [
+        ("target matrix 10 over Z2\ncoeff E(1,11) = E(1,1)\n", 2, 11),
+        ("target matrix 10 over Z2\nE12 = E(1,2)\n", 2, 1),
+        ("target matrix 10 over Z2\nE(1,2) = E(1,2)\ncoeff E(1, 2) = E(2,1)\n", 3, 7),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_coefficient_map(text, m10)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_coefficient_map_group_inverse_derived(toy_h):

@@ -78,14 +78,15 @@ def _parse_subs(dga, pairs):
 
 
 def _parse_dual_input(dga, text: str, subs) -> DualElement:
-    """Case I inputs have the shape  (algebra expression) * generator."""
+    """Case I inputs have the shape  (algebra expression) * generator,
+    or a bare generator c or -c."""
     head, star, gen = text.rpartition("*")
     gen = gen.strip()
-    if gen in dga.names:
-        coeff_text = head if star else "1"
-    else:
+    if not star:
+        head, gen = ("-1", gen[1:].strip()) if gen.startswith("-") else ("1", gen)
+    if gen not in dga.names:
         raise ParseError(f"case I input must end in a generator: {text!r}")
-    coeff = parse_element(coeff_text, dga, subs).constant_part()
+    coeff = parse_element(head, dga, subs).constant_part()
     return DualElement.term(coeff, gen)
 
 

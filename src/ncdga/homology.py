@@ -7,6 +7,17 @@ word on each side for case II bimodule elements), so the coefficient
 algebra must be finite dimensional over the scalar field.  Grading uses
 the suspended dual convention: a generator of degree g sits in cochain
 degree g + 1 and the differential raises degree by one.
+
+Case II over matrix n (n >= 2) is computed on the corner block, the labels
+(E_1b, g, E_c1).  The case II operations are adjoints of the augmented
+components, which multiply the outer slots of a label and nothing else,
+so they are linear over matrix n on both sides: the complex is n^2 copies
+of the corner, one per block (a, d) of outer indices, and the product
+sends blocks (a, d) and (d, d') to block (a, d') and every other pair of
+blocks to zero.  The corner is built, squared and eliminated once, and its
+representatives and products are moved into the blocks by
+z -> E_a1 z E_1d.  The results are exactly those of the full construction,
+not merely isomorphic: see :class:`HomologyResult`.
 """
 
 from __future__ import annotations
@@ -133,9 +144,16 @@ def solve_in_span(columns: list[list], target: list, ring: Ring) -> list | None:
 
 
 class ChainComplex:
-    """Graded basis with a degree +1 differential, d squared verified."""
+    """Graded basis with a degree +1 differential, d squared verified.
 
-    def __init__(self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, label_str):
+    A complex built with a ``corner`` is n^2 copies of that corner (case II
+    over matrix n, see :func:`bilinearized_complex`): only the corner's
+    matrices are stored and squared, and the full block-diagonal matrix of
+    a degree is assembled on the first call of :meth:`matrix`."""
+
+    def __init__(
+        self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, label_str, corner=None
+    ):
         self.dga = dga
         self.augs = augs
         self.case = case
@@ -144,7 +162,22 @@ class ChainComplex:
         self.basis = basis  # degree -> list of labels
         self.diff = diff    # degree -> matrix (rows: degree+1 basis, cols: degree basis)
         self.label_str = label_str
-        self._check_squares()
+        self._corner = corner
+        if corner is None:
+            self._check_squares()
+            return
+        n = dga.algebra.n
+        self._blocks = [(a, d) for a in range(1, n + 1) for d in range(1, n + 1)]
+        # degree -> block (a, d) -> full index of each corner label moved
+        # into the block: (E_1b, g, E_c1) -> (E_ab, g, E_cd)
+        self._positions: dict[int, dict] = {}
+        for degree, labels in basis.items():
+            index = {label: j for j, label in enumerate(corner.basis[degree])}
+            slots = {block: [0] * len(index) for block in self._blocks}
+            for i, (left, gen, right) in enumerate(labels):
+                j = index[((1, left[1]), gen, (right[0], 1))]
+                slots[left[0], right[1]][j] = i
+            self._positions[degree] = slots
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -153,7 +186,35 @@ class ChainComplex:
         return (degree + 1) % self.modulus if self.modulus else degree + 1
 
     def matrix(self, degree: int) -> list[list]:
+        corner = self._corner
+        small = corner.matrix(degree) if corner is not None and degree not in self.diff else []
+        if small:
+            zero = self.field.zero
+            full = [[zero] * len(self.basis[degree]) for _ in self.basis[self._next(degree)]]
+            rows_at, cols_at = self._positions[self._next(degree)], self._positions[degree]
+            for block in self._blocks:
+                cols = cols_at[block]
+                for r, row in zip(rows_at[block], small):
+                    target = full[r]
+                    for c, value in zip(cols, row):
+                        target[c] = value
+            self.diff[degree] = full
         return self.diff.get(degree, [])
+
+    def _move(self, degree: int, vector: list, block) -> list:
+        """A corner vector moved into a block: z -> E_a1 z E_1d."""
+        out = [self.field.zero] * len(self.basis[degree])
+        for i, c in zip(self._positions[degree][block], vector):
+            out[i] = c
+        return out
+
+    def _split(self, degree: int, vector: list):
+        """(block, corner vector) for each block where the vector is nonzero."""
+        ring = self.field
+        for block, positions in self._positions[degree].items():
+            piece = [vector[i] for i in positions]
+            if any(not ring.is_zero(c) for c in piece):
+                yield block, piece
 
     def _check_squares(self):
         for degree in self.degrees():
@@ -222,7 +283,15 @@ def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
 def bilinearized_complex(
     dga: SemifreeDGA, e0: Augmentation, e1: Augmentation, case: str = "I"
 ) -> ChainComplex:
-    """The complex carried by the arity-one augmented operation."""
+    """The complex carried by the arity-one augmented operation.
+
+    In case II over matrix n (n >= 2) the complex is n^2 copies of its
+    corner, the labels (E_1b, g, E_c1): the operation is the adjoint of
+    the augmented components, which multiplies the outer slots of a label
+    and nothing else, so d(E_a1 z E_1d) = E_a1 d(z) E_1d and the labels
+    (E_ab, g, E_cd) of each block (a, d) form a copy of the corner.  Only
+    the corner's columns are evaluated, and the returned complex keeps the
+    corner (see :class:`ChainComplex`); its basis is still the full one."""
     if case not in ("I", "II"):
         raise NcdgaError(f"unknown case {case!r}")
     base, (a0, a1) = _prepare(dga, [e0, e1])
@@ -235,7 +304,9 @@ def bilinearized_complex(
             f"{alg} is infinite dimensional over {alg.ring.name}"
         )
     words = sorted(alg.words(dim), key=alg.word_key)
+    morita = case == "II" and alg.kind == "matrix" and alg.n > 1
     basis: dict[int, list] = {}
+    corner_basis: dict[int, list] = {}
     for gen in base.generators:
         degree = base.reduce_degree(gen.degree + 1)
         if case == "I":
@@ -243,6 +314,10 @@ def bilinearized_complex(
         else:
             labels = [(u, gen.name, v) for u in words for v in words]
         basis.setdefault(degree, []).extend(labels)
+        if morita:
+            corner_basis.setdefault(degree, []).extend(
+                label for label in labels if label[0][0] == 1 and label[2][1] == 1
+            )
 
     def label_str(label) -> str:
         if case == "I":
@@ -267,10 +342,11 @@ def bilinearized_complex(
     # on the column, so build them once per complex
     components = augmented_components(base, (a0, a1), 1)
 
+    evaluated = corner_basis if morita else basis
     diff: dict[int, list[list]] = {}
-    for degree, labels in basis.items():
+    for degree, labels in evaluated.items():
         target_degree = (degree + 1) % base.modulus if base.modulus else degree + 1
-        target_labels = basis.get(target_degree, [])
+        target_labels = evaluated.get(target_degree, [])
         index = {label: i for i, label in enumerate(target_labels)}
         matrix = [[alg.ring.zero] * len(labels) for _ in target_labels]
         for col, label in enumerate(labels):
@@ -290,17 +366,63 @@ def bilinearized_complex(
             for label_out, c in pairs:
                 matrix[index[label_out]][col] = c
         diff[degree] = matrix
-    return ChainComplex(base, (a0, a1), case, basis, diff, label_str)
+    cx = ChainComplex(base, (a0, a1), case, evaluated, diff, label_str)
+    if morita:
+        return ChainComplex(base, (a0, a1), case, basis, {}, label_str, corner=cx)
+    return cx
 
 
 class HomologyResult:
-    """Per-degree dimensions with representative cycles."""
+    """Per-degree dimensions with representative cycles.
+
+    The representatives of a degree are the kernel basis vectors of d, one
+    per free column of its reduced echelon form in column order, that
+    enlarge the span of the incoming boundaries.
+
+    When the complex keeps a corner (case II over matrix n), the corner is
+    eliminated instead, and each corner representative z is moved into
+    each block (a, d) as E_a1 z E_1d.  Sorted by free column, these are
+    exactly the representatives of the full complex: the reduced echelon
+    form is unique and d is block diagonal, so the echelon form of the
+    whole is that of each block, whose columns keep the corner's order, and
+    a cycle of one block enlarges the span exactly when it does within its
+    block.  ``image_spans`` then holds the corner's spans."""
 
     def __init__(self, cx: ChainComplex):
         self.cx = cx
-        ring = cx.field
         self.dims: dict[int, int] = {}
         self.representatives: dict[int, list[list]] = {}
+        self._class_spans: dict[int, Span] = {}
+        self._corner = None if cx._corner is None else HomologyResult(cx._corner)
+        if self._corner is None:
+            self._eliminate()
+        else:
+            self._move_corner()
+
+    def _move_corner(self):
+        cx, corner = self.cx, self._corner
+        ring = cx.field
+        self.image_spans = corner.image_spans
+        self._origin: dict[int, list] = {}  # degree -> (block, corner index) per representative
+        self._slot: dict[int, dict] = {}    # its inverse
+        for degree, reps in corner.representatives.items():
+            positions = cx._positions[degree]
+            # a kernel basis vector's free column is its last nonzero entry
+            free = [max(j for j, c in enumerate(z) if not ring.is_zero(c)) for z in reps]
+            order = sorted(
+                (positions[block][col], block, k)
+                for block in cx._blocks
+                for k, col in enumerate(free)
+            )
+            origin = [(block, k) for _col, block, k in order]
+            self.representatives[degree] = [cx._move(degree, reps[k], block) for block, k in origin]
+            self.dims[degree] = len(origin)
+            self._origin[degree] = origin
+            self._slot[degree] = {key: i for i, key in enumerate(origin)}
+
+    def _eliminate(self):
+        cx = self.cx
+        ring = cx.field
         self.image_spans: dict[int, Span] = {}
         degrees = cx.degrees()
         for degree in degrees:
@@ -325,32 +447,77 @@ class HomologyResult:
         return sum(self.dims.values())
 
     def representative_strings(self, degree: int) -> list[str]:
+        cx = self.cx
+        if self._corner is None:
+            entries = [enumerate(rep) for rep in self.representatives[degree]]
+        else:
+            # a moved representative is nonzero only on its block
+            reps, positions = self._corner.representatives[degree], cx._positions[degree]
+            entries = [zip(positions[block], reps[k]) for block, k in self._origin[degree]]
+        labels = cx.basis[degree]
+        ring = cx.field
         out = []
-        ring = self.cx.field
-        for rep in self.representatives[degree]:
+        for rep in entries:
             parts = []
-            for c, label in zip(rep, self.cx.basis[degree]):
+            for i, c in rep:
                 if ring.is_zero(c):
                     continue
-                text = self.cx.label_str(label)
+                text = cx.label_str(labels[i])
                 parts.append(text if c == ring.one else f"{ring.scalar_str(c)}*{text}")
             out.append(" + ".join(parts) if parts else "0")
         return out
 
     def class_of(self, degree: int, vector: list) -> list:
-        """Coordinates of a cycle's class in the representative basis."""
+        """Coordinates of a cycle's class in the representative basis.
+
+        With a corner, each block of the vector is read on the corner.
+        Otherwise the degree's rows [rep_k | e_k] and [boundary | 0] are
+        put in echelon form once; [v | 0] then reduces to
+        [0 | -coordinates of v], and to a nonzero left part when v is not
+        a cycle."""
+        ring = self.cx.field
+        if self._corner is not None:
+            out = [ring.zero] * self.dims[degree]
+            slot = self._slot[degree]
+            for block, piece in self.cx._split(degree, vector):
+                for k, c in enumerate(self._corner.class_of(degree, piece)):
+                    out[slot[block, k]] = c
+            return out
+        span = self._class_spans.get(degree)
+        if span is None:
+            span = self._class_spans[degree] = self._class_span(degree)
+        width = len(self.cx.basis[degree])
+        reduced = span.reduce(list(vector) + [ring.zero] * (span.width - width))
+        if any(not ring.is_zero(c) for c in reduced[:width]):
+            raise NcdgaError("vector is not a cycle class in this degree")
+        return [ring.neg(c) for c in reduced[width:]]
+
+    def _class_span(self, degree: int) -> Span:
         ring = self.cx.field
         reps = self.representatives[degree]
-        image = self.image_spans[degree]
-        columns = [list(r) for r in reps] + [list(r) for r in image.rows]
-        solution = solve_in_span(columns, list(vector), ring)
-        if solution is None:
-            raise NcdgaError("vector is not a cycle class in this degree")
-        return solution[: len(reps)]
+        pad = [ring.zero] * len(reps)
+        span = Span(ring, len(self.cx.basis[degree]) + len(reps))
+        for row in self.image_spans[degree].rows:
+            span.add(row + pad)
+        for k, rep in enumerate(reps):
+            tag = pad[:]
+            tag[k] = ring.one
+            span.add(rep + tag)
+        return span
 
 
 def homology(cx: ChainComplex) -> HomologyResult:
     return HomologyResult(cx)
+
+
+def _pairs(h01: HomologyResult, h12: HomologyResult):
+    """(deg_x, i, deg_y, j) and (deg_x, x, deg_y, y) for each pair of
+    representatives."""
+    for deg_x in h01.dims:
+        for i, x_vec in enumerate(h01.representatives[deg_x]):
+            for deg_y in h12.dims:
+                for j, y_vec in enumerate(h12.representatives[deg_y]):
+                    yield (deg_x, i, deg_y, j), (deg_x, x_vec, deg_y, y_vec)
 
 
 class HomologyProduct:
@@ -373,39 +540,64 @@ class HomologyProduct:
 
     def product_chain(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
         """The chain-level product of two cycles, as a cx02 vector."""
-        x = self.cx01.element_of(deg_x, x_vec)
-        y = self.cx12.element_of(deg_y, y_vec)
+        return self._chain((self.cx01, self.cx12, self.cx02), deg_x, x_vec, deg_y, y_vec)
+
+    def _chain(self, complexes, deg_x, x_vec, deg_y, y_vec):
+        cx01, cx12, cx02 = complexes
+        x = cx01.element_of(deg_x, x_vec)
+        y = cx12.element_of(deg_y, y_vec)
         if self.case == "I":
             value = _evaluate_case1(self.base, self.components, [x, y])
         else:
             value = _evaluate_case2(self.base, self.components, x * y)
         degree = self.output_degree(deg_x, deg_y)
-        if degree not in self.cx02.basis:
+        if degree not in cx02.basis:
             if value.is_zero():
                 return degree, []
             raise NcdgaError("product landed outside the complex")
-        return degree, self.cx02.vector_of(degree, value)
+        return degree, cx02.vector_of(degree, value)
 
     def output_degree(self, deg_x: int, deg_y: int) -> int:
         degree = deg_x + deg_y
         return degree % self.base.modulus if self.base.modulus else degree
 
     def product_class(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
-        degree, vec = self.product_chain(deg_x, x_vec, deg_y, y_vec)
-        if degree not in self.cx02.basis:
+        return self._class((self.h01, self.h12, self.h02), deg_x, x_vec, deg_y, y_vec)
+
+    def _class(self, homologies, deg_x, x_vec, deg_y, y_vec):
+        h01, h12, h02 = homologies
+        degree, vec = self._chain((h01.cx, h12.cx, h02.cx), deg_x, x_vec, deg_y, y_vec)
+        if degree not in h02.cx.basis:
             return degree, []
-        return degree, self.h02.class_of(degree, vec)
+        return degree, h02.class_of(degree, vec)
 
     def table(self):
-        """Products of all representative pairs, in homology coordinates."""
+        """Products of all representative pairs, in homology coordinates.
+
+        With corners (case II over matrix n) only the corner pairs are
+        multiplied.  The product contracts the inner matrix indices,
+        E_1d E_a'1 = delta(d, a') E_11, so a class of block (a, d) times
+        one of block (a', d') is zero unless d = a', and then it is the
+        product of their corner classes moved to block (a, d')."""
+        homologies = (self.h01, self.h12, self.h02)
+        if self.h01._corner is None:
+            return {key: self._class(homologies, *pair) for key, pair in _pairs(self.h01, self.h12)}
+        corners = tuple(h._corner for h in homologies)
+        products = {key: self._class(corners, *pair) for key, pair in _pairs(*corners[:2])}
+        zero = self.cx02.field.zero
         out = {}
-        for deg_x in self.h01.dims:
-            for i, x_vec in enumerate(self.h01.representatives[deg_x]):
-                for deg_y in self.h12.dims:
-                    for j, y_vec in enumerate(self.h12.representatives[deg_y]):
-                        out[(deg_x, i, deg_y, j)] = self.product_class(
-                            deg_x, x_vec, deg_y, y_vec
-                        )
+        for deg_x, origins_x in self.h01._origin.items():
+            for i, (block_x, k) in enumerate(origins_x):
+                for deg_y, origins_y in self.h12._origin.items():
+                    for j, (block_y, l) in enumerate(origins_y):
+                        degree, coords = products[deg_x, k, deg_y, l]
+                        full = [zero] * self.h02.dims.get(degree, 0)
+                        if coords and block_x[1] == block_y[0]:
+                            slot = self.h02._slot[degree]
+                            block = (block_x[0], block_y[1])
+                            for m, c in enumerate(coords):
+                                full[slot[block, m]] = c
+                        out[deg_x, i, deg_y, j] = degree, full
         return out
 
 

@@ -283,17 +283,27 @@ class DualElement:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
+        unit = self.algebra.unit()
+        # Z/p values print in [0, p), so only characteristic 0 writes -c
+        minus_unit = -unit if self.algebra.ring.characteristic == 0 else None
+        out = ""
         for g in sorted(self.terms):
             b = self.terms[g]
-            if b == self.algebra.unit():
-                parts.append(g)
+            if b == unit:
+                part = g
+            elif b == minus_unit:
+                part = f"-{g}"
+            elif len(b.terms) > 1:
+                part = f"({b})*{g}"
             else:
-                body = str(b)
-                if " + " in body:
-                    body = f"({body})"
-                parts.append(f"{body}*{g}")
-        return " + ".join(parts)
+                part = f"{b}*{g}"
+            if not out:
+                out = part
+            elif part.startswith("-"):
+                out += " - " + part[1:]
+            else:
+                out += " + " + part
+        return out
 
     def __repr__(self):
         return f"<{self}>"

@@ -1,19 +1,25 @@
 """Property-based checks of the algebraic laws on randomised words."""
 
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncdga import (
     DualElement,
     FreeAlgebra,
     GroupRing,
+    Q,
     TensorElement,
     Z2,
+    Zp,
     iota_pair,
     pairing_t,
+    parse_dga,
     psi_eval,
     tensor_product,
 )
+from ncdga.cli import _parse_dual_input
 
 GROUP = GroupRing(2, Z2)
 FREE = FreeAlgebra(("g1", "g2"), Z2)
@@ -98,3 +104,41 @@ def test_iota_adjunction_randomised(w0, w1, wa, wb):
     a_star = TensorElement.from_algebra(GROUP.element(wa).star())
     b_star = TensorElement.from_algebra(GROUP.element(wb).star())
     assert iota_pair(a * x * b, y) == iota_pair(x, a_star * y * b_star)
+
+
+DUAL_RINGS = {"Z2": Z2, "Z3": Zp(3), "Q": Q}
+_DUAL_DGAS = {
+    name: parse_dga(f"ring {name}\nalgebra free g1 g2\ngrading mod 0\ngen c deg 0\ngen d deg 1\n")
+    for name in DUAL_RINGS
+}
+_dual_scalars = {
+    "Z2": st.sampled_from([1]),
+    "Z3": st.sampled_from([1, 2]),
+    "Q": st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+}
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(DUAL_RINGS)), st.sampled_from(["c", "d"]), st.data())
+def test_dual_element_prints_as_cli_input(ring_name, gen, data):
+    """Every single-generator functional reads back from its text."""
+    dga = _DUAL_DGAS[ring_name]
+    terms = data.draw(
+        st.lists(st.tuples(free_words, _dual_scalars[ring_name]), min_size=1, max_size=4)
+    )
+    coeff = dga.algebra.from_terms(terms)
+    assume(not coeff.is_zero())
+    beta = DualElement.term(coeff, gen)
+    assert _parse_dual_input(dga, str(beta), {}) == beta
+
+
+def test_dual_element_strings():
+    alg = _DUAL_DGAS["Q"].algebra
+    one, g1 = alg.unit(), alg.element((1,))
+    assert str(DualElement.term(one - g1, "c")) == "(1 - g1)*c"
+    assert str(DualElement.term(-one, "c")) == "-c"
+    assert str(DualElement.term(-g1, "c")) == "-g1*c"
+    assert str(DualElement(alg, {"c": g1, "d": -one})) == "g1*c - d"
+    assert str(DualElement(alg, {"c": one.scale(2), "d": g1 - one})) == "2*c + (-1 + g1)*d"
+    z3 = _DUAL_DGAS["Z3"].algebra
+    assert str(DualElement.term(-z3.unit(), "c")) == "2*c"

@@ -402,6 +402,8 @@ class HomologyResult:
     def _move_corner(self):
         cx, corner = self.cx, self._corner
         ring = cx.field
+        # corner width, not the full width of cx.basis: reduce full vectors
+        # through class_of, never against these spans directly
         self.image_spans = corner.image_spans
         self._origin: dict[int, list] = {}  # degree -> (block, corner index) per representative
         self._slot: dict[int, dict] = {}    # its inverse
@@ -448,18 +450,12 @@ class HomologyResult:
 
     def representative_strings(self, degree: int) -> list[str]:
         cx = self.cx
-        if self._corner is None:
-            entries = [enumerate(rep) for rep in self.representatives[degree]]
-        else:
-            # a moved representative is nonzero only on its block
-            reps, positions = self._corner.representatives[degree], cx._positions[degree]
-            entries = [zip(positions[block], reps[k]) for block, k in self._origin[degree]]
         labels = cx.basis[degree]
         ring = cx.field
         out = []
-        for rep in entries:
+        for rep in self.representatives[degree]:
             parts = []
-            for i, c in rep:
+            for i, c in enumerate(rep):
                 if ring.is_zero(c):
                     continue
                 text = cx.label_str(labels[i])
@@ -495,9 +491,12 @@ class HomologyResult:
     def _class_span(self, degree: int) -> Span:
         ring = self.cx.field
         reps = self.representatives[degree]
+        image = self.image_spans[degree]
+        if image.width != len(self.cx.basis[degree]):
+            raise NcdgaError("image span and basis widths differ in this degree")
         pad = [ring.zero] * len(reps)
         span = Span(ring, len(self.cx.basis[degree]) + len(reps))
-        for row in self.image_spans[degree].rows:
+        for row in image.rows:
             span.add(row + pad)
         for k, rep in enumerate(reps):
             tag = pad[:]

@@ -15,8 +15,12 @@ differential (:func:`augmented_components`): every word of arity at least
 n, with n of its letters kept as survivors and every other letter replaced
 by its augmentation value, the block of a letter being the number of
 survivors in front of it.  The sums are finite because the differential
-has words of bounded length.  Case I evaluates the components slot by
-slot, case II takes their trace-pairing adjoint.
+has words of bounded length.  Each placement is built by slot products: the
+algebra factors between consecutive survivors multiply into n + 1 slots,
+and the placement's terms are the outer product of the slots.  Case I
+evaluates the components slot by slot, case II takes their trace-pairing
+adjoint.  The plain operations are the augmented ones over the trivial
+augmentation.
 
 Relation checking composes each arity-n relation once (:func:`_relation`),
 as the eps-augmented arity-n part of d^2, and evaluates it for every check
@@ -24,7 +28,9 @@ with the operation's own evaluator (the adjoint of a composite is the
 composite of the adjoints).  The checks run over the input patterns that
 could make a term nonzero (the survivors of some placement), so tuples
 outside that set vanish term by term and the report is exact without
-exhausting the full input space.
+exhausting the full input space.  One verify call builds the components
+and pattern matches of each (augmentation tuple, arity) once and shares
+them across the relations of every arity; nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -101,18 +107,51 @@ def augmented_components(
     generator, the sum over its placements (see :func:`_placements`) of
     the word with every non-survivor letter replaced by its augmentation
     value.  ``augs`` has n + 1 entries, one per block.  Generators whose
-    component vanishes are left out."""
+    component vanishes are left out.
+
+    A placement is built by slot products: the algebra factors between
+    consecutive survivors multiply into n + 1 slot elements (a placement
+    stops at the first slot that vanishes), and the placement adds the
+    outer product of the slots' terms, with the survivors as generators.
+    Writing a survivor as the sum of u g v over pairs of unit words would
+    give the same element, since the unit words sum to 1:
+    a (sum u g v) b = a g b."""
     _check_tuple(dga, augs, n + 1)
     alg = dga.algebra
+    ring, mul_words = alg.ring, alg.mul_words
+    one = ring.one
     components: dict[str, dict] = {}
     for name, tw, coeff, letters in _placements(dga, augs, n):
-        parts: list = [alg.element(tw.coeffs[0])]
-        for gen, value, slot in zip(tw.gens, letters, tw.coeffs[1:]):
-            parts.append(TensorElement.generator(alg, gen) if value is None else value)
-            parts.append(alg.element(slot))
-        terms = components.setdefault(name, {})
-        for w, c in tensor_product(parts, alg).terms.items():
-            alg.ring.add_term(terms, w, alg.ring.mul(coeff, c))
+        slots: list[dict] = []
+        gens: list[str] = []
+        slot = {tw.coeffs[0]: one}
+        for gen, value, word in zip(tw.gens, letters, tw.coeffs[1:]):
+            if value is None:
+                slots.append(slot)
+                gens.append(gen)
+                slot = {word: one}
+                continue
+            product: dict = {}
+            for w1, c1 in slot.items():
+                for w2, c2 in value.terms.items():
+                    w = mul_words(w1, w2)
+                    if w is not None:
+                        w = mul_words(w, word)
+                        if w is not None:
+                            ring.add_term(product, w, ring.mul(c1, c2))
+            slot = product
+            if not slot:
+                break
+        else:
+            slots.append(slot)
+            survivors = tuple(gens)
+            terms = components.setdefault(name, {})
+            for choice in itertools.product(*(s.items() for s in slots)):
+                c = coeff
+                for _w, v in choice:
+                    c = ring.mul(c, v)
+                word = TensorWord(tuple(w for w, _v in choice), survivors)
+                ring.add_term(terms, word, c)
     return {name: TensorElement(alg, terms) for name, terms in components.items() if terms}
 
 
@@ -157,9 +196,12 @@ def _case2_arity(dga: SemifreeDGA, x: TensorElement) -> int:
 def mu_case1(dga: SemifreeDGA, inputs: Sequence[DualElement]) -> DualElement:
     """mu_n on functionals: the coefficient of c in the output collects,
     for every arity-n word a0 d1 a1 ... dn an of d(c) whose generators
-    match the inputs b1 d1, ..., bn dn, the product a0 b1 a1 ... bn an."""
-    components = {name: dga.d_component(name, len(inputs)) for name in dga.names}
-    return _evaluate_case1(dga, components, inputs)
+    match the inputs b1 d1, ..., bn dn, the product a0 b1 a1 ... bn an:
+    the augmented operation over the trivial augmentation, which keeps
+    exactly the words of arity n."""
+    n = len(inputs)
+    trivial = (Augmentation.trivial(dga),) * (n + 1)
+    return _evaluate_case1(dga, augmented_components(dga, trivial, n), inputs)
 
 
 def curvature(dga: SemifreeDGA) -> DualElement:
@@ -181,16 +223,11 @@ def mu_eps_case1(
 
 
 def mu_case2(dga: SemifreeDGA, x: TensorElement) -> TensorElement:
-    """mu_n as the trace-pairing adjoint of the arity-n differential."""
+    """mu_n as the trace-pairing adjoint of the arity-n differential: the
+    augmented operation over the trivial augmentation."""
     n = _case2_arity(dga, x)
-    if not n:
-        return TensorElement.zero(dga.algebra)
-    components = {
-        name: dga.d_component(name, n)
-        for name in dga.names
-        if not dga.d_component(name, n).is_zero()
-    }
-    return _evaluate_case2(dga, components, x)
+    trivial = (Augmentation.trivial(dga),) * (n + 1)
+    return _evaluate_case2(dga, augmented_components(dga, trivial, n), x)
 
 
 def mu_eps_case2(
@@ -257,13 +294,15 @@ def _pattern_matches(
     }
 
 
-def _splits(dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, build):
+def _splits(dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, built: dict, build):
     """The terms of the arity-n relation: an inner operation of arity l
     placed at input i of an outer one of arity n + 1 - l, as (i, inner,
     outer), each part built by ``build(dga, augmentation tuple, arity)``
-    once per distinct tuple and arity (augmentations hash by identity)."""
+    once per distinct tuple and arity (augmentations hash by identity).
+    ``built`` maps (tuple, arity) to the parts built so far; a caller that
+    checks several arities in one call passes the same dict to each, so a
+    part that two arities share is built once."""
     eps = tuple(augs)
-    built: dict = {}
     for l in range(1, n + 1):
         for i in range(1, n + 2 - l):
             keys = (eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)
@@ -274,7 +313,7 @@ def _splits(dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, build):
 
 
 def _relation(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, components: dict | None = None
 ) -> dict[str, TensorElement]:
     """The composed arity-n relation, the eps-augmented arity-n part of
     d^2: per generator, the sum over the splits of the outer component with
@@ -282,10 +321,12 @@ def _relation(
     inner component, signed by the parity of the letters in front of it.
     Slot products are associative, so one evaluation of it is the signed
     sum of every split's outer operation on its inner one.  Generators
-    whose relation vanishes are left out."""
+    whose relation vanishes are left out.  ``components`` holds the
+    augmented components already built (see :func:`_splits`)."""
     ring = dga.algebra.ring
     relation: dict[str, dict] = {}
-    for i, inner, outers in _splits(dga, augs, n, augmented_components):
+    built = {} if components is None else components
+    for i, inner, outers in _splits(dga, augs, n, built, augmented_components):
         for name, outer in outers.items():
             terms = relation.setdefault(name, {})
             for tw, c in outer.terms.items():
@@ -297,12 +338,15 @@ def _relation(
 
 
 def candidate_patterns(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, matches: dict | None = None
 ) -> list[tuple[str, ...]]:
     """Input generator patterns for which some term of the arity-n
-    relation can be nonzero.  Every other pattern vanishes term by term."""
+    relation can be nonzero.  Every other pattern vanishes term by term.
+    ``matches`` holds the pattern matches already built (see
+    :func:`_splits`)."""
     patterns: set[tuple[str, ...]] = set()
-    for i, inner, outer in _splits(dga, augs, n, _pattern_matches):
+    built = {} if matches is None else matches
+    for i, inner, outer in _splits(dga, augs, n, built, _pattern_matches):
         by_slot: dict[str, list[tuple[str, ...]]] = {}
         for pat_out, _name in outer:
             by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
@@ -356,13 +400,16 @@ def verify_ainfty(
     pool = list(coeff_pool) if coeff_pool is not None else default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     joiner = ", " if case == "I" else " (x) "
+    # the parts of the relations, shared by every arity of this call
+    components: dict = {}
+    matches: dict = {}
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
-        relation = _relation(dga, eps, n)
+        relation = _relation(dga, eps, n, components)
         if exhaustive:
             patterns = list(itertools.product(dga.names, repeat=n))
         else:
-            patterns = candidate_patterns(dga, eps, n)
+            patterns = candidate_patterns(dga, eps, n, matches)
         for pattern in patterns:
             for coeffs in itertools.product(pool, repeat=n if case == "I" else n - 1):
                 if case == "I":

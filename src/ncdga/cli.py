@@ -222,14 +222,12 @@ def _cmd_product(args) -> int:
     if not table:
         print("no homology classes to multiply")
         return 0
+    support = prod.h02.cx.field.support
+    lines = []
     for (deg_x, i, deg_y, j), (degree, coeffs) in sorted(table.items()):
-        value = "0"
-        nonzero = [
-            (c, k) for k, c in enumerate(coeffs) if not prod.h02.cx.field.is_zero(c)
-        ]
-        if nonzero:
-            value = " + ".join(f"{c} * H{degree}[{k}]" for c, k in nonzero)
-        print(f"H{deg_x}[{i}] * H{deg_y}[{j}] -> degree {degree}: {value}")
+        value = " + ".join(f"{c} * H{degree}[{k}]" for k, c in support(coeffs)) or "0"
+        lines.append(f"H{deg_x}[{i}] * H{deg_y}[{j}] -> degree {degree}: {value}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 

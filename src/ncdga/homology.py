@@ -452,14 +452,13 @@ class HomologyResult:
         cx = self.cx
         labels = cx.basis[degree]
         ring = cx.field
+        one = ring.one
         out = []
         for rep in self.representatives[degree]:
             parts = []
-            for i, c in enumerate(rep):
-                if ring.is_zero(c):
-                    continue
+            for i, c in ring.support(rep):
                 text = cx.label_str(labels[i])
-                parts.append(text if c == ring.one else f"{ring.scalar_str(c)}*{text}")
+                parts.append(text if c == one else f"{ring.scalar_str(c)}*{text}")
             out.append(" + ".join(parts) if parts else "0")
         return out
 

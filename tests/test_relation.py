@@ -26,6 +26,7 @@ from ncdga import (
     tensor_product,
     verify_ainfty,
 )
+from ncdga import ainfinity
 from ncdga.ainfinity import _evaluate_case1, _evaluate_case2, _relation, augmented_components
 from ncdga.dga import SemifreeDGA
 from ncdga.errors import ArityMismatchError
@@ -287,3 +288,70 @@ def test_inhomogeneous_inputs_are_extended_multilinearly(q_corpus, toy_h):
     parts = [ainfty_residual_case2(broken_h, eps, [x, c["c4"]]) for x in first]
     assert not (parts[0] + parts[1]).is_zero()
     assert mixed == parts[0] + parts[1]
+
+
+# -- builds shared across one verify call --------------------------------------
+
+
+def split_keys(objects, max_arity):
+    """Per arity up to ``max_arity``, the set of (augmentation tuple,
+    arity) that the splits of its relation read."""
+    out = []
+    for n in range(1, max_arity + 1):
+        eps = tuple(objects[j % len(objects)] for j in range(n + 1))
+        keys = set()
+        for l in range(1, n + 1):
+            for i in range(1, n + 2 - l):
+                keys |= {(eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)}
+        out.append(keys)
+    return out
+
+
+def test_verify_builds_each_component_once_per_call(toy, toy_h, toy_h_augmentations, monkeypatch):
+    builds = []
+
+    def counting(dga, augs, n):
+        builds.append((tuple(augs), n))
+        return augmented_components(dga, augs, n)
+
+    monkeypatch.setattr(ainfinity, "augmented_components", counting)
+    trivial = [Augmentation.trivial(toy)]
+    # building per arity would make 1 + 2 + 3 + 4 builds
+    assert sum(len(keys) for keys in split_keys(trivial, 4)) == 10
+    for exhaustive in (False, True):
+        builds.clear()
+        assert verify_ainfty(toy, trivial, "I", 4, exhaustive=exhaustive).ok
+        assert sorted(n for _eps, n in builds) == [1, 2, 3, 4]
+    objects = toy_h_augmentations[1:]
+    shared = set().union(*split_keys(objects, 4))
+    assert len(shared) < sum(len(keys) for keys in split_keys(objects, 4))
+    for case in ("I", "II"):
+        builds.clear()
+        assert verify_ainfty(toy_h, objects, case, 4).ok
+        assert len(builds) == len(set(builds)) and set(builds) == shared
+    # a second call builds again: nothing is kept across calls
+    verify_ainfty(toy_h, objects, "I", 4)
+    assert len(builds) == 2 * len(shared)
+
+
+def test_shared_builds_leave_reports_unchanged(corpus, monkeypatch):
+    """The reports on every broken DGA, with each corpus tuple and with
+    two-object cyclic tuples, equal those of a verify run that builds
+    every arity's relation and patterns afresh."""
+
+    def reports():
+        out = []
+        for label, case, dga, augs in broken_corpus(corpus):
+            for objects in [augs] + [list(pair) for pair in itertools.permutations(augs[:3], 2)]:
+                report = verify_ainfty(dga, objects, case, MAX_ARITY)
+                out.append((label, report.checks, report.ok, report.violations))
+        return out
+
+    shared = reports()
+    relation, patterns = ainfinity._relation, ainfinity.candidate_patterns
+    monkeypatch.setattr(ainfinity, "_relation", lambda dga, eps, n, _: relation(dga, eps, n))
+    monkeypatch.setattr(
+        ainfinity, "candidate_patterns", lambda dga, eps, n, _: patterns(dga, eps, n)
+    )
+    assert shared == reports()
+    assert sum(not ok for _label, _checks, ok, _violations in shared) >= 15

@@ -53,6 +53,18 @@ def _load_augs(dga, paths):
     return [parse_augmentation(_read(p), dga) for p in paths]
 
 
+def _aug_tuple(dga, paths, size: int, message: str):
+    """The augmentation tuple of a complex (size 2) or a product (size 3):
+    one file stands for every entry, and with none allowed by the option
+    the trivial augmentation does."""
+    augs = _load_augs(dga, paths) or [Augmentation.trivial(dga)]
+    if len(augs) == 1:
+        augs = augs * size
+    if len(augs) != size:
+        raise ParseError(message)
+    return augs
+
+
 def _emit_dga(dga, out: str | None):
     text = print_dga(dga)
     if out:
@@ -165,9 +177,7 @@ def _cmd_ainfty_verify(args) -> int:
 
 def _cmd_linearize(args) -> int:
     dga = _load_dga(args.file)
-    augs = _load_augs(dga, args.aug)
-    if len(augs) == 1:
-        augs = augs * 2
+    augs = _aug_tuple(dga, args.aug, 2, "linearize needs one or two --aug files")
     cx = bilinearized_complex(dga, augs[0], augs[1], args.case)
     for degree in cx.degrees():
         labels = cx.basis[degree]
@@ -182,11 +192,7 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_homology(args) -> int:
     dga = _load_dga(args.file)
-    augs = _load_augs(dga, args.aug)
-    if len(augs) == 0:
-        augs = [Augmentation.trivial(dga)] * 2
-    elif len(augs) == 1:
-        augs = augs * 2
+    augs = _aug_tuple(dga, args.aug, 2, "homology needs at most two --aug files")
     result = homology(bilinearized_complex(dga, augs[0], augs[1], args.case))
     if args.json:
         payload = {
@@ -212,11 +218,7 @@ def _cmd_homology(args) -> int:
 
 def _cmd_product(args) -> int:
     dga = _load_dga(args.file)
-    augs = _load_augs(dga, args.aug)
-    if len(augs) == 1:
-        augs = augs * 3
-    if len(augs) != 3:
-        raise ParseError("product needs one or three --aug files")
+    augs = _aug_tuple(dga, args.aug, 3, "product needs one or three --aug files")
     prod = product_on_homology(dga, augs[0], augs[1], augs[2], args.case)
     table = prod.table()
     if not table:
@@ -370,13 +372,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NcdgaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NcdgaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,9 @@ algebra must be finite dimensional over the scalar field.  Grading uses
 the suspended dual convention: a generator of degree g sits in cochain
 degree g + 1 and the differential raises degree by one.
 
-Case II over matrix n (n >= 2) is computed on the corner block, the labels
+Every complex is a set of blocks, copies of one core complex, and every
+result is computed on the core once and moved into the blocks.  Case II
+over matrix n (n >= 2) has the n^2 blocks of its corner, the labels
 (E_1b, g, E_c1).  The case II operations are adjoints of the augmented
 components, which multiply the outer slots of a label and nothing else,
 so they are linear over matrix n on both sides: the complex is n^2 copies
@@ -16,8 +18,10 @@ of the corner, one per block (a, d) of outer indices, and the product
 sends blocks (a, d) and (d, d') to block (a, d') and every other pair of
 blocks to zero.  The corner is built, squared and eliminated once, and its
 representatives and products are moved into the blocks by
-z -> E_a1 z E_1d.  The results are exactly those of the full construction,
-not merely isomorphic: see :class:`HomologyResult`.
+z -> E_a1 z E_1d.  Every other complex is the one block (1, 1) and its
+own core, and the move is the identity.  The results are exactly those of
+eliminating the whole complex, not merely isomorphic: see
+:class:`HomologyResult`.
 """
 
 from __future__ import annotations
@@ -146,13 +150,16 @@ def solve_in_span(columns: list[list], target: list, ring: Ring) -> list | None:
 class ChainComplex:
     """Graded basis with a degree +1 differential, d squared verified.
 
-    A complex built with a ``corner`` is n^2 copies of that corner (case II
-    over matrix n, see :func:`bilinearized_complex`): only the corner's
-    matrices are stored and squared, and the full block-diagonal matrix of
-    a degree is assembled on the first call of :meth:`matrix`."""
+    Every complex is a set of blocks, each a copy of one core complex whose
+    labels sit at known positions of the full basis.  A case II complex
+    over matrix n (n >= 2, see :func:`bilinearized_complex`) has the n^2
+    blocks (a, d) of its corner; only the corner's matrices are stored and
+    squared, and the full block-diagonal matrix of a degree is assembled on
+    the first call of :meth:`matrix`.  Every other complex is the one block
+    (1, 1) and its own core, at the identity positions."""
 
     def __init__(
-        self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, label_str, corner=None
+        self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, label_str, core=None
     ):
         self.dga = dga
         self.augs = augs
@@ -162,18 +169,23 @@ class ChainComplex:
         self.basis = basis  # degree -> list of labels
         self.diff = diff    # degree -> matrix (rows: degree+1 basis, cols: degree basis)
         self.label_str = label_str
-        self._corner = corner
-        if corner is None:
+        if core is None:
+            self.core = self
+            self.blocks = [(1, 1)]
+            self._positions = {
+                degree: {(1, 1): list(range(len(labels)))} for degree, labels in basis.items()
+            }
             self._check_squares()
             return
+        self.core = core
         n = dga.algebra.n
-        self._blocks = [(a, d) for a in range(1, n + 1) for d in range(1, n + 1)]
+        self.blocks = [(a, d) for a in range(1, n + 1) for d in range(1, n + 1)]
         # degree -> block (a, d) -> full index of each corner label moved
         # into the block: (E_1b, g, E_c1) -> (E_ab, g, E_cd)
         self._positions: dict[int, dict] = {}
         for degree, labels in basis.items():
-            index = {label: j for j, label in enumerate(corner.basis[degree])}
-            slots = {block: [0] * len(index) for block in self._blocks}
+            index = {label: j for j, label in enumerate(core.basis[degree])}
+            slots = {block: [0] * len(index) for block in self.blocks}
             for i, (left, gen, right) in enumerate(labels):
                 j = index[((1, left[1]), gen, (right[0], 1))]
                 slots[left[0], right[1]][j] = i
@@ -186,13 +198,13 @@ class ChainComplex:
         return (degree + 1) % self.modulus if self.modulus else degree + 1
 
     def matrix(self, degree: int) -> list[list]:
-        corner = self._corner
-        small = corner.matrix(degree) if corner is not None and degree not in self.diff else []
+        core = self.core
+        small = core.matrix(degree) if core is not self and degree not in self.diff else []
         if small:
             zero = self.field.zero
             full = [[zero] * len(self.basis[degree]) for _ in self.basis[self._next(degree)]]
             rows_at, cols_at = self._positions[self._next(degree)], self._positions[degree]
-            for block in self._blocks:
+            for block in self.blocks:
                 cols = cols_at[block]
                 for r, row in zip(rows_at[block], small):
                     target = full[r]
@@ -202,14 +214,14 @@ class ChainComplex:
         return self.diff.get(degree, [])
 
     def _move(self, degree: int, vector: list, block) -> list:
-        """A corner vector moved into a block: z -> E_a1 z E_1d."""
+        """A core vector moved into a block: z -> E_a1 z E_1d."""
         out = [self.field.zero] * len(self.basis[degree])
         for i, c in zip(self._positions[degree][block], vector):
             out[i] = c
         return out
 
     def _split(self, degree: int, vector: list):
-        """(block, corner vector) for each block where the vector is nonzero."""
+        """(block, core vector) for each block where the vector is nonzero."""
         ring = self.field
         for block, positions in self._positions[degree].items():
             piece = [vector[i] for i in positions]
@@ -290,8 +302,9 @@ def bilinearized_complex(
     the augmented components, which multiplies the outer slots of a label
     and nothing else, so d(E_a1 z E_1d) = E_a1 d(z) E_1d and the labels
     (E_ab, g, E_cd) of each block (a, d) form a copy of the corner.  Only
-    the corner's columns are evaluated, and the returned complex keeps the
-    corner (see :class:`ChainComplex`); its basis is still the full one."""
+    the corner's columns are evaluated, and the returned complex has the
+    corner as its core (see :class:`ChainComplex`); its basis is still the
+    full one."""
     if case not in ("I", "II"):
         raise NcdgaError(f"unknown case {case!r}")
     base, (a0, a1) = _prepare(dga, [e0, e1])
@@ -368,52 +381,59 @@ def bilinearized_complex(
         diff[degree] = matrix
     cx = ChainComplex(base, (a0, a1), case, evaluated, diff, label_str)
     if morita:
-        return ChainComplex(base, (a0, a1), case, basis, {}, label_str, corner=cx)
+        return ChainComplex(base, (a0, a1), case, basis, {}, label_str, core=cx)
     return cx
 
 
 class HomologyResult:
     """Per-degree dimensions with representative cycles.
 
-    The representatives of a degree are the kernel basis vectors of d, one
-    per free column of its reduced echelon form in column order, that
-    enlarge the span of the incoming boundaries.
-
-    When the complex keeps a corner (case II over matrix n), the corner is
-    eliminated instead, and each corner representative z is moved into
-    each block (a, d) as E_a1 z E_1d.  Sorted by free column, these are
-    exactly the representatives of the full complex: the reduced echelon
-    form is unique and d is block diagonal, so the echelon form of the
-    whole is that of each block, whose columns keep the corner's order, and
-    a cycle of one block enlarges the span exactly when it does within its
-    block.  ``image_spans`` then holds the corner's spans."""
+    The core of the complex is eliminated: its representatives in a degree
+    are the kernel basis vectors of d, one per free column of its reduced
+    echelon form in column order, that enlarge the span of the incoming
+    boundaries.  Each core representative z is then moved into each block
+    (a, d) as E_a1 z E_1d, and the moved vectors are sorted by free column.
+    These are exactly the representatives of the whole complex: the reduced
+    echelon form is unique and d is block diagonal, so the echelon form of
+    the whole is that of each block, whose columns keep the core's order,
+    and a cycle of one block enlarges the span exactly when it does within
+    its block.  With one block the move is the identity.  ``image_spans``
+    holds the core's spans."""
 
     def __init__(self, cx: ChainComplex):
         self.cx = cx
-        self.dims: dict[int, int] = {}
-        self.representatives: dict[int, list[list]] = {}
-        self._class_spans: dict[int, Span] = {}
-        self._corner = None if cx._corner is None else HomologyResult(cx._corner)
-        if self._corner is None:
-            self._eliminate()
-        else:
-            self._move_corner()
-
-    def _move_corner(self):
-        cx, corner = self.cx, self._corner
+        core = cx.core
         ring = cx.field
-        # corner width, not the full width of cx.basis: reduce full vectors
+        degrees = core.degrees()
+        # core width, not the full width of cx.basis: reduce full vectors
         # through class_of, never against these spans directly
-        self.image_spans = corner.image_spans
-        self._origin: dict[int, list] = {}  # degree -> (block, corner index) per representative
+        self.image_spans: dict[int, Span] = {}
+        for degree in degrees:
+            span = Span(ring, len(core.basis[degree]))
+            for prev in degrees:
+                if core._next(prev) == degree:
+                    matrix = core.matrix(prev)
+                    for col in range(len(core.basis[prev])):
+                        span.add([row[col] for row in matrix])
+            self.image_spans[degree] = span
+        self.core_representatives: dict[int, list[list]] = {}
+        self.representatives: dict[int, list[list]] = {}
+        self.dims: dict[int, int] = {}
+        self._origin: dict[int, list] = {}  # degree -> (block, core index) per representative
         self._slot: dict[int, dict] = {}    # its inverse
-        for degree, reps in corner.representatives.items():
+        self._class_spans: dict[int, Span] = {}
+        for degree in degrees:
+            # with no rows the kernel is everything: the unit vectors
+            cycles = kernel_basis(core.matrix(degree), len(core.basis[degree]), ring)
+            span = self.image_spans[degree].copy()
+            reps = [z for z in cycles if span.add(z)]
+            self.core_representatives[degree] = reps
             positions = cx._positions[degree]
             # a kernel basis vector's free column is its last nonzero entry
             free = [max(j for j, c in enumerate(z) if not ring.is_zero(c)) for z in reps]
             order = sorted(
                 (positions[block][col], block, k)
-                for block in cx._blocks
+                for block in cx.blocks
                 for k, col in enumerate(free)
             )
             origin = [(block, k) for _col, block, k in order]
@@ -421,28 +441,6 @@ class HomologyResult:
             self.dims[degree] = len(origin)
             self._origin[degree] = origin
             self._slot[degree] = {key: i for i, key in enumerate(origin)}
-
-    def _eliminate(self):
-        cx = self.cx
-        ring = cx.field
-        self.image_spans: dict[int, Span] = {}
-        degrees = cx.degrees()
-        for degree in degrees:
-            width = len(cx.basis[degree])
-            span = Span(ring, width)
-            for prev in degrees:
-                if cx._next(prev) == degree:
-                    matrix = cx.matrix(prev)
-                    for col in range(len(cx.basis[prev])):
-                        span.add([row[col] for row in matrix])
-            self.image_spans[degree] = span
-        for degree in degrees:
-            # with no rows the kernel is everything: the unit vectors
-            cycles = kernel_basis(cx.matrix(degree), len(cx.basis[degree]), ring)
-            span = self.image_spans[degree].copy()
-            reps = [z for z in cycles if span.add(z)]
-            self.dims[degree] = len(reps)
-            self.representatives[degree] = reps
 
     @property
     def total_dimension(self) -> int:
@@ -463,25 +461,28 @@ class HomologyResult:
         return out
 
     def class_of(self, degree: int, vector: list) -> list:
-        """Coordinates of a cycle's class in the representative basis.
+        """Coordinates of a cycle's class in the representative basis: each
+        block of the vector is read on the core."""
+        out = [self.cx.field.zero] * self.dims[degree]
+        slot = self._slot[degree]
+        for block, piece in self.cx._split(degree, vector):
+            for k, c in enumerate(self.core_class_of(degree, piece)):
+                out[slot[block, k]] = c
+        return out
 
-        With a corner, each block of the vector is read on the corner.
-        Otherwise the degree's rows [rep_k | e_k] and [boundary | 0] are
-        put in echelon form once; [v | 0] then reduces to
-        [0 | -coordinates of v], and to a nonzero left part when v is not
-        a cycle."""
+    def core_class_of(self, degree: int, vector: list) -> list:
+        """Coordinates of a core cycle's class in the core representatives.
+
+        The degree's rows [rep_k | e_k] and [boundary | 0] are put in
+        echelon form once; [v | 0] then reduces to [0 | -coordinates of v],
+        and to a nonzero left part when v is not a cycle."""
         ring = self.cx.field
-        if self._corner is not None:
-            out = [ring.zero] * self.dims[degree]
-            slot = self._slot[degree]
-            for block, piece in self.cx._split(degree, vector):
-                for k, c in enumerate(self._corner.class_of(degree, piece)):
-                    out[slot[block, k]] = c
-            return out
         span = self._class_spans.get(degree)
         if span is None:
             span = self._class_spans[degree] = self._class_span(degree)
-        width = len(self.cx.basis[degree])
+        width = len(self.cx.core.basis[degree])
+        if len(vector) != width:
+            raise NcdgaError("vector and core basis widths differ in this degree")
         reduced = span.reduce(list(vector) + [ring.zero] * (span.width - width))
         if any(not ring.is_zero(c) for c in reduced[:width]):
             raise NcdgaError("vector is not a cycle class in this degree")
@@ -489,12 +490,10 @@ class HomologyResult:
 
     def _class_span(self, degree: int) -> Span:
         ring = self.cx.field
-        reps = self.representatives[degree]
+        reps = self.core_representatives[degree]
         image = self.image_spans[degree]
-        if image.width != len(self.cx.basis[degree]):
-            raise NcdgaError("image span and basis widths differ in this degree")
         pad = [ring.zero] * len(reps)
-        span = Span(ring, len(self.cx.basis[degree]) + len(reps))
+        span = Span(ring, image.width + len(reps))
         for row in image.rows:
             span.add(row + pad)
         for k, rep in enumerate(reps):
@@ -506,16 +505,6 @@ class HomologyResult:
 
 def homology(cx: ChainComplex) -> HomologyResult:
     return HomologyResult(cx)
-
-
-def _pairs(h01: HomologyResult, h12: HomologyResult):
-    """(deg_x, i, deg_y, j) and (deg_x, x, deg_y, y) for each pair of
-    representatives."""
-    for deg_x in h01.dims:
-        for i, x_vec in enumerate(h01.representatives[deg_x]):
-            for deg_y in h12.dims:
-                for j, y_vec in enumerate(h12.representatives[deg_y]):
-                    yield (deg_x, i, deg_y, j), (deg_x, x_vec, deg_y, y_vec)
 
 
 class HomologyProduct:
@@ -560,38 +549,39 @@ class HomologyProduct:
         return degree % self.base.modulus if self.base.modulus else degree
 
     def product_class(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
-        return self._class((self.h01, self.h12, self.h02), deg_x, x_vec, deg_y, y_vec)
-
-    def _class(self, homologies, deg_x, x_vec, deg_y, y_vec):
-        h01, h12, h02 = homologies
-        degree, vec = self._chain((h01.cx, h12.cx, h02.cx), deg_x, x_vec, deg_y, y_vec)
-        if degree not in h02.cx.basis:
+        degree, vec = self.product_chain(deg_x, x_vec, deg_y, y_vec)
+        if degree not in self.cx02.basis:
             return degree, []
-        return degree, h02.class_of(degree, vec)
+        return degree, self.h02.class_of(degree, vec)
 
     def table(self):
         """Products of all representative pairs, in homology coordinates.
 
-        With corners (case II over matrix n) only the corner pairs are
-        multiplied.  The product contracts the inner matrix indices,
-        E_1d E_a'1 = delta(d, a') E_11, so a class of block (a, d) times
-        one of block (a', d') is zero unless d = a', and then it is the
-        product of their corner classes moved to block (a, d')."""
-        homologies = (self.h01, self.h12, self.h02)
-        if self.h01._corner is None:
-            return {key: self._class(homologies, *pair) for key, pair in _pairs(self.h01, self.h12)}
-        corners = tuple(h._corner for h in homologies)
-        products = {key: self._class(corners, *pair) for key, pair in _pairs(*corners[:2])}
+        Only the core pairs are multiplied.  The product contracts the
+        inner matrix indices, E_1d E_a'1 = delta(d, a') E_11, so a class of
+        block (a, d) times one of block (a', d') is zero unless d = a', and
+        then it is the product of their core classes moved to block
+        (a, d').  A complex of one block is the block (1, 1)."""
+        h01, h12, h02 = self.h01, self.h12, self.h02
+        cores = (self.cx01.core, self.cx12.core, self.cx02.core)
+        products = {}
+        for deg_x, xs in h01.core_representatives.items():
+            for k, x_vec in enumerate(xs):
+                for deg_y, ys in h12.core_representatives.items():
+                    for l, y_vec in enumerate(ys):
+                        degree, vec = self._chain(cores, deg_x, x_vec, deg_y, y_vec)
+                        coords = h02.core_class_of(degree, vec) if degree in cores[2].basis else []
+                        products[deg_x, k, deg_y, l] = degree, coords
         zero = self.cx02.field.zero
         out = {}
-        for deg_x, origins_x in self.h01._origin.items():
+        for deg_x, origins_x in h01._origin.items():
             for i, (block_x, k) in enumerate(origins_x):
-                for deg_y, origins_y in self.h12._origin.items():
+                for deg_y, origins_y in h12._origin.items():
                     for j, (block_y, l) in enumerate(origins_y):
                         degree, coords = products[deg_x, k, deg_y, l]
-                        full = [zero] * self.h02.dims.get(degree, 0)
+                        full = [zero] * h02.dims.get(degree, 0)
                         if coords and block_x[1] == block_y[0]:
-                            slot = self.h02._slot[degree]
+                            slot = h02._slot[degree]
                             block = (block_x[0], block_y[1])
                             for m, c in enumerate(coords):
                                 full[slot[block, m]] = c

@@ -157,6 +157,30 @@ def test_product_command(xy_file, tmp_path, capsys):
     assert "H1[0] * H1[0]" in out
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("homology", "homology needs at most two --aug files"),
+        ("linearize", "linearize needs one or two --aug files"),
+        ("product", "product needs one or three --aug files"),
+    ],
+)
+def test_wrong_augmentation_count_is_a_usage_error(xy_file, tmp_path, capsys, command, message):
+    aug_p = tmp_path / "p.aug"
+    aug_p.write_text(AUG_P)
+    aug_id = tmp_path / "id.aug"
+    aug_id.write_text(AUG_ID)
+    # homology and linearize take a pair, product a triple
+    paths = [aug_p, aug_id, aug_id] if command != "product" else [aug_p, aug_id]
+    args = [command, xy_file]
+    for path in paths:
+        args += ["--aug", str(path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_ncopy_mirror_subdga_roundtrip(toy_file, tmp_path, capsys):
     two = tmp_path / "toy2.dga"
     assert main(["ncopy", toy_file, "-n", "2", "-o", str(two)]) == 0

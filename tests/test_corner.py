@@ -7,7 +7,9 @@ corner and moves its representatives and products into the blocks.  The
 oracle below is the full construction: one adjoint per label of the full
 basis, elimination of the whole block-diagonal matrix, and each class
 solved afresh in [representatives | boundaries].  The two must agree on
-matrices, representatives, their strings and the product table.
+matrices, representatives, their strings and the product table.  A case I
+complex is one block, its own core, and goes through the same path; its
+oracle eliminates the whole complex the same way.
 """
 
 import hashlib
@@ -186,20 +188,24 @@ def _case_id(case):
     return f"{ring.name}-{which}-m{n}-{'e0=e1' if equal else 'e0!=e1'}"
 
 
-@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
-def test_corner_complex_and_homology_match_full_construction(case):
+def _assert_matches_whole_elimination(case, kind):
+    """Case II against the full construction; case I, one block that is its
+    own core, against the elimination of the whole case I complex."""
     ring, which, n, equal = case
     dga = _dga(ring, which)
     e0, e1 = _augmentations(dga, ring, which, n)
     if equal:
         e1 = e0
-    cx = bilinearized_complex(dga, e0, e1, "II")
-    oracle = full_complex(dga, e0, e1)
+    cx = bilinearized_complex(dga, e0, e1, kind)
+    oracle = full_complex(dga, e0, e1) if kind == "II" else cx
+    blocks = n * n if kind == "II" else 1
+    assert len(cx.blocks) == blocks
+    assert (cx.core is cx) == (kind == "I")
     assert cx.basis == oracle.basis
     for degree in cx.degrees():
         assert cx.matrix(degree) == oracle.matrix(degree)
-        # the corner holds one of the n^2 blocks
-        assert len(cx._corner.basis[degree]) * n * n == len(cx.basis[degree])
+        # the core is one of the blocks
+        assert len(cx.core.basis[degree]) * blocks == len(cx.basis[degree])
     result, full = homology(cx), FullHomology(oracle)
     assert result.dims == full.dims
     for degree in cx.degrees():
@@ -223,6 +229,16 @@ def test_corner_complex_and_homology_match_full_construction(case):
             assert result.class_of(degree, vector) == coords == full.class_of(degree, vector)
 
 
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
+def test_corner_complex_and_homology_match_full_construction(case):
+    _assert_matches_whole_elimination(case, "II")
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
+def test_case1_complex_and_homology_match_whole_elimination(case):
+    _assert_matches_whole_elimination(case, "I")
+
+
 @pytest.mark.parametrize("ring", [Z2, Z3, Q], ids=["Z2", "Z3", "Q"])
 @pytest.mark.parametrize("which", list(DGA_SOURCES))
 @pytest.mark.parametrize("n", [2, 3])
@@ -232,7 +248,8 @@ def test_corner_dimensions_equal_case1_dimensions(ring, which, n):
     for pair in [(e0, e0), (e0, e1), (e1, e0)]:
         result = homology(bilinearized_complex(dga, *pair, "II"))
         case1 = homology(bilinearized_complex(dga, *pair, "I"))
-        assert result._corner.dims == case1.dims
+        core_dims = {d: len(reps) for d, reps in result.core_representatives.items()}
+        assert core_dims == case1.dims
         assert result.dims == {d: n * n * k for d, k in case1.dims.items()}
 
 
@@ -295,12 +312,12 @@ def test_corner_product_table_samples_match_full_construction(ring, which):
 
 @pytest.mark.parametrize("ring", [Z2, Q], ids=["Z2", "Q"])
 def test_case1_classes_match_fresh_solve(ring):
-    """Case I keeps the full path; its factored classes against a fresh
-    solve of [representatives | boundaries] per product."""
+    """Case I is one block, its own core; its factored classes against a
+    fresh solve of [representatives | boundaries] per product."""
     dga = _dga(ring, "commutator")
     e0, e1 = _augmentations(dga, ring, "commutator", 3)
     prod = product_on_homology(dga, e0, e1, e1, "I")
-    assert prod.h01._corner is None
+    assert prod.cx01.core is prod.cx01
     for key, (degree, coords) in prod.table().items():
         deg_x, i, deg_y, j = key
         chain_degree, vec = prod.product_chain(
@@ -330,6 +347,20 @@ def test_class_of_rejects_non_cycles(case):
     unit = next(u for u in units if any(c != 0 for c in result.cx.apply_d(degree, u)))
     with pytest.raises(NcdgaError, match="not a cycle class"):
         result.class_of(degree, unit)
+
+
+def test_core_class_of_rejects_full_vectors():
+    """Over matrix 2 a full case II vector is four core blocks wide; it is
+    read through class_of, never against the core's echelon form."""
+    dga = _dga(Q, "commutator")
+    e0, _e1 = _augmentations(dga, Q, "commutator", 2)
+    result = homology(bilinearized_complex(dga, e0, e0, "II"))
+    degree = min(result.dims)
+    vector = result.representatives[degree][0]
+    assert len(vector) == 4 * len(result.cx.core.basis[degree])
+    with pytest.raises(NcdgaError, match="widths differ"):
+        result.core_class_of(degree, vector)
+    assert result.class_of(degree, vector)[0] == Q.one
 
 
 # -- CLI output pinned at the full construction ---------------------------

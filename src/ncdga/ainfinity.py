@@ -22,15 +22,14 @@ evaluates the components slot by slot, case II takes their trace-pairing
 adjoint.  The plain operations are the augmented ones over the trivial
 augmentation.
 
-Relation checking composes each arity-n relation once (:func:`_relation`),
-as the eps-augmented arity-n part of d^2, and evaluates it for every check
-with the operation's own evaluator (the adjoint of a composite is the
-composite of the adjoints).  The checks run over the input patterns that
-could make a term nonzero (the survivors of some placement), so tuples
-outside that set vanish term by term and the report is exact without
-exhausting the full input space.  One verify call builds the components
-and pattern matches of each (augmentation tuple, arity) once and shares
-them across the relations of every arity; nothing is kept across calls.
+The operations come from d^eps = phi o d o phi^-1, phi(c) = c + eps(c),
+so the arity-n relation is the eps-augmented arity-n part of d^2
+(:func:`_relation`): the component builder run on c -> d(d(c)).  Beyond
+the usual double sum it has only terms prefix . eps(d z) . suffix, which
+vanish as eps o d = 0; the relation checks reject maps that are not
+augmentations.  Each check evaluates the relation with the operation's own
+evaluator, over the input patterns that could make a term nonzero, so the
+report is exact.  One verify call computes d^2 once for all its arities.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .augmentation import Augmentation
 from .dga import SemifreeDGA
 from .errors import (
     ArityMismatchError,
+    InvalidAugmentationError,
     NcdgaError,
     NotHermitianError,
     TargetMismatchError,
@@ -53,7 +53,6 @@ from .tensor import (
     DualElement,
     TensorElement,
     TensorWord,
-    _splice,
     adjoint_formula,
     psi_eval,
     tensor_product,
@@ -73,17 +72,31 @@ def _check_tuple(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
             raise TargetMismatchError("augmentation belongs to a different DGA")
 
 
+def _check_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
+    """:func:`_check_tuple`, then that every entry is an augmentation of ``dga``."""
+    _check_tuple(dga, augs, length)
+    for aug in dict.fromkeys(augs):
+        check = Augmentation(dga, aug.values).check()
+        if not check.ok:
+            raise InvalidAugmentationError(str(check))
+
+
+def _d_squared(dga: SemifreeDGA) -> dict[str, TensorElement]:
+    return {name: dga.d(dga.d_of_generator(name)) for name in dga.names}
+
+
 def _placements(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
 ) -> Iterator[tuple[str, TensorWord, object, list]]:
-    """Every way to read an arity-n operation off the differential: for
-    each word of d(generator) of arity at least n and each choice of n
-    survivor letters, (generator, word, coefficient, letters), where
-    ``letters`` is None at each survivor and elsewhere the value of the
-    letter under the augmentation of its block.  Placements in which a
-    block's augmentation kills a letter are skipped."""
+    """Every way to read an arity-n operation off the differential (or off
+    ``images`` of the generators): for each word of d(generator) of arity
+    at least n and each choice of n survivor letters, (generator, word,
+    coefficient, letters), where ``letters`` is None at each survivor and
+    elsewhere the value of the letter under the augmentation of its block.
+    Placements in which a block's augmentation kills a letter are skipped."""
     for name in dga.names:
-        for tw, coeff in dga.d_of_generator(name).terms.items():
+        image = dga.d_of_generator(name) if images is None else images[name]
+        for tw, coeff in image.terms.items():
             for survivors in itertools.combinations(range(tw.arity), n):
                 letters: list = []
                 block = 0
@@ -101,13 +114,13 @@ def _placements(
 
 
 def augmented_components(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
 ) -> dict[str, TensorElement]:
-    """The eps-augmented arity-n components of the differential: for each
-    generator, the sum over its placements (see :func:`_placements`) of
-    the word with every non-survivor letter replaced by its augmentation
-    value.  ``augs`` has n + 1 entries, one per block.  Generators whose
-    component vanishes are left out.
+    """The eps-augmented arity-n components of the differential (or of
+    ``images``): for each generator, the sum over its placements (see
+    :func:`_placements`) of the word with every non-survivor letter
+    replaced by its augmentation value.  ``augs`` has n + 1 entries, one
+    per block.  Generators whose component vanishes are left out.
 
     A placement is built by slot products: the algebra factors between
     consecutive survivors multiply into n + 1 slot elements (a placement
@@ -121,7 +134,7 @@ def augmented_components(
     ring, mul_words = alg.ring, alg.mul_words
     one = ring.one
     components: dict[str, dict] = {}
-    for name, tw, coeff, letters in _placements(dga, augs, n):
+    for name, tw, coeff, letters in _placements(dga, augs, n, images):
         slots: list[dict] = []
         gens: list[str] = []
         slot = {tw.coeffs[0]: one}
@@ -294,75 +307,59 @@ def _pattern_matches(
     }
 
 
-def _splits(dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, built: dict, build):
-    """The terms of the arity-n relation: an inner operation of arity l
-    placed at input i of an outer one of arity n + 1 - l, as (i, inner,
-    outer), each part built by ``build(dga, augmentation tuple, arity)``
-    once per distinct tuple and arity (augmentations hash by identity).
-    ``built`` maps (tuple, arity) to the parts built so far; a caller that
-    checks several arities in one call passes the same dict to each, so a
-    part that two arities share is built once."""
-    eps = tuple(augs)
-    for l in range(1, n + 1):
-        for i in range(1, n + 2 - l):
-            keys = (eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)
-            for key in keys:
-                if key not in built:
-                    built[key] = build(dga, *key)
-            yield i, built[keys[0]], built[keys[1]]
-
-
 def _relation(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, components: dict | None = None
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, square: Mapping | None = None
 ) -> dict[str, TensorElement]:
-    """The composed arity-n relation, the eps-augmented arity-n part of
-    d^2: per generator, the sum over the splits of the outer component with
-    the letter at the inner operation's input spliced into that letter's
-    inner component, signed by the parity of the letters in front of it.
-    Slot products are associative, so one evaluation of it is the signed
-    sum of every split's outer operation on its inner one.  Generators
-    whose relation vanishes are left out.  ``components`` holds the
-    augmented components already built (see :func:`_splits`)."""
-    ring = dga.algebra.ring
-    relation: dict[str, dict] = {}
-    built = {} if components is None else components
-    for i, inner, outers in _splits(dga, augs, n, built, augmented_components):
-        for name, outer in outers.items():
-            terms = relation.setdefault(name, {})
-            for tw, c in outer.terms.items():
-                image = inner.get(tw.gens[i - 1])
-                if image is not None:
-                    sign = dga.sign_parity(tw.gens[: i - 1])
-                    _splice(terms, tw, ring.neg(c) if sign else c, i - 1, image)
-    return {name: TensorElement(dga.algebra, terms) for name, terms in relation.items() if terms}
+    """The arity-n relation: the eps-augmented arity-n components of d^2
+    (``square``, computed here after checking the tuple when not given).
+    A placement on a word of d^2, a word of d(c) with a letter z replaced
+    by a word of d(z), keeps l survivors inside that word of d(z).  For
+    l >= 1 these are the outer arity-(n + 1 - l) component with the inner
+    arity-l component of z spliced in, signed by the Leibniz rule: the
+    usual double sum.  For l = 0 the word of d(z) lies in one block b, and
+    summed over d(z) they give prefix . eps_b(d z) . suffix = 0.
+    Generators whose relation vanishes are left out."""
+    if square is None:
+        _check_augmentations(dga, augs, n + 1)
+        square = _d_squared(dga)
+    return augmented_components(dga, augs, n, square)
 
 
 def candidate_patterns(
     dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, matches: dict | None = None
 ) -> list[tuple[str, ...]]:
     """Input generator patterns for which some term of the arity-n
-    relation can be nonzero.  Every other pattern vanishes term by term.
-    ``matches`` holds the pattern matches already built (see
-    :func:`_splits`)."""
-    patterns: set[tuple[str, ...]] = set()
+    relation can be nonzero: an inner placement's survivors spliced into an
+    outer one's at input i, for every split into an inner operation of
+    arity l >= 1 at input i of an outer one (the l = 0 terms of d^2 sum to
+    eps(d z) = 0, see :func:`_relation`).  Every other pattern vanishes
+    term by term.  ``matches`` maps (augmentation tuple, arity) to the
+    pattern matches built so far; a caller checking several arities in one
+    call passes the same dict to each, so shared matches are built once."""
+    eps = tuple(augs)
     built = {} if matches is None else matches
-    for i, inner, outer in _splits(dga, augs, n, built, _pattern_matches):
-        by_slot: dict[str, list[tuple[str, ...]]] = {}
-        for pat_out, _name in outer:
-            by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
-        for pat_in, name_in in inner:
-            for pat_out in by_slot.get(name_in, ()):
-                patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
+    patterns: set[tuple[str, ...]] = set()
+    for l in range(1, n + 1):
+        for i in range(1, n + 2 - l):
+            keys = (eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)
+            for key in keys:
+                if key not in built:
+                    built[key] = _pattern_matches(dga, *key)
+            by_slot: dict[str, list[tuple[str, ...]]] = {}
+            for pat_out, _name in built[keys[1]]:
+                by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
+            for pat_in, name_in in built[keys[0]]:
+                for pat_out in by_slot.get(name_in, ()):
+                    patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
     return sorted(patterns)
 
 
 def ainfty_residual_case1(
     dga: SemifreeDGA, augs: Sequence[Augmentation], inputs: Sequence[DualElement]
 ) -> DualElement:
-    """Signed double sum of the arity-n relation; zero when the theorem
-    holds.  The sign of a term is the parity of the degrees of the
-    generators standing left of the inner operation, taken word by word, so
-    inhomogeneous inputs are extended multilinearly."""
+    """The arity-n relation on the inputs; zero when the theorem holds.
+    Its Leibniz signs are taken word by word, so inhomogeneous inputs are
+    extended multilinearly."""
     return _evaluate_case1(dga, _relation(dga, augs, len(inputs)), inputs)
 
 
@@ -382,8 +379,8 @@ def verify_ainfty(
 ) -> Report:
     """Check the relations at every arity up to ``max_arity``.
 
-    ``objects`` supplies the augmentation tuple; when shorter than
-    max_arity + 1 it is repeated cyclically.  Inputs run over candidate
+    ``objects``, augmentations of ``dga``, supply the tuple, repeated
+    cyclically when shorter than max_arity + 1.  Inputs run over candidate
     generator patterns decorated with ``coeff_pool`` (case I: pool element
     times generator; case II: generators joined by pool elements).  With
     ``exhaustive`` every generator pattern is enumerated instead.
@@ -400,12 +397,12 @@ def verify_ainfty(
     pool = list(coeff_pool) if coeff_pool is not None else default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     joiner = ", " if case == "I" else " (x) "
-    # the parts of the relations, shared by every arity of this call
-    components: dict = {}
+    _check_augmentations(dga, objects, len(objects))
+    square = _d_squared(dga)
     matches: dict = {}
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
-        relation = _relation(dga, eps, n, components)
+        relation = _relation(dga, eps, n, square)
         if exhaustive:
             patterns = list(itertools.product(dga.names, repeat=n))
         else:

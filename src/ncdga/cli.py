@@ -98,8 +98,10 @@ def _parse_dual_input(dga, text: str, subs) -> DualElement:
         head, gen = ("-1", gen[1:].strip()) if gen.startswith("-") else ("1", gen)
     if gen not in dga.names:
         raise ParseError(f"case I input must end in a generator: {text!r}")
-    coeff = parse_element(head, dga, subs).constant_part()
-    return DualElement.term(coeff, gen)
+    coeff = parse_element(head, dga, subs)
+    if coeff.max_arity():
+        raise ParseError(f"case I input coefficient must not contain generators: {text!r}")
+    return DualElement.term(coeff.constant_part(), gen)
 
 
 def _cmd_example(args) -> int:

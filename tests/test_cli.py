@@ -95,10 +95,30 @@ def test_mu_case_one(toy_file, capsys):
     assert capsys.readouterr().out.strip() == "g2*g2*g1*c3"
 
 
+@pytest.mark.parametrize("inputs", ["c2*c4", "(g1+c3)*c2,c4"])
+def test_mu_case_one_rejects_generators_in_a_coefficient(toy_file, capsys, inputs):
+    assert main(["mu", toy_file, "--case", "I", "--inputs", inputs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must not contain generators" in captured.err
+    assert inputs.split(",")[0] in captured.err
+
+
 def test_ainfty_verify(toy_file, toy_h_file, capsys):
     assert main(["ainfty-verify", toy_file, "--case", "I", "--max-arity", "4"]) == 0
     assert "all residuals vanish" in capsys.readouterr().out
     assert main(["ainfty-verify", toy_h_file, "--case", "II", "--max-arity", "4"]) == 0
+
+
+def test_ainfty_verify_needs_augmentations(tmp_path, capsys):
+    """d a = x*y - 1 is curved: the trivial map sends d a to -1, so it is
+    no augmentation and no relation is read off d^2."""
+    curved = tmp_path / "curved.dga"
+    curved.write_text(XY_SOURCE.replace("ring Z2", "ring Q"))
+    assert main(["ainfty-verify", str(curved), "--case", "I"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps(d a) = -1" in captured.err
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

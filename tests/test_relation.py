@@ -1,17 +1,23 @@
-"""The composed A-infinity relation against the split-by-split sum.
+"""The A-infinity relation read off d^2 against the split-by-split sum.
 
-``ainfty_residual_case1/2`` and ``verify_ainfty`` evaluate one composed
-element per arity.  The oracle below evaluates every split of the relation
-as an inner operation feeding an outer one and sums the signed results, the
-way the relation is written down.  The two must agree on every input,
-including the failing ones, so the DGAs are also checked with one
-differential dropped.
+``ainfty_residual_case1/2`` and ``verify_ainfty`` evaluate one element per
+arity, the augmented arity-n part of d^2.  The oracle below evaluates every
+split of the relation as an inner operation feeding an outer one and sums
+the signed results, the way the relation is written down.  The two must
+agree on every input, including the failing ones, so the DGAs are also
+checked with one differential dropped.  On generated DGAs the relation is
+also compared, as an element, with the split composition
+(``composed_relation``); the two differ only for maps that are not
+augmentations, which the relation checks reject.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdga import (
     Augmentation,
@@ -29,8 +35,11 @@ from ncdga import (
 from ncdga import ainfinity
 from ncdga.ainfinity import _evaluate_case1, _evaluate_case2, _relation, augmented_components
 from ncdga.dga import SemifreeDGA
-from ncdga.errors import ArityMismatchError
+from ncdga.errors import ArityMismatchError, InvalidAugmentationError, TupleLengthMismatchError
 from ncdga.report import Report
+from ncdga.tensor import _splice
+
+from conftest import XY_SOURCE
 
 MAX_ARITY = 3
 
@@ -293,45 +302,36 @@ def test_inhomogeneous_inputs_are_extended_multilinearly(q_corpus, toy_h):
 # -- builds shared across one verify call --------------------------------------
 
 
-def split_keys(objects, max_arity):
-    """Per arity up to ``max_arity``, the set of (augmentation tuple,
-    arity) that the splits of its relation read."""
-    out = []
-    for n in range(1, max_arity + 1):
-        eps = tuple(objects[j % len(objects)] for j in range(n + 1))
-        keys = set()
-        for l in range(1, n + 1):
-            for i in range(1, n + 2 - l):
-                keys |= {(eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)}
-        out.append(keys)
-    return out
-
-
 def test_verify_builds_each_component_once_per_call(toy, toy_h, toy_h_augmentations, monkeypatch):
-    builds = []
+    """One verify call computes d^2 once, by one application of the Leibniz
+    d per generator, and builds one augmented component of it per arity."""
+    d_calls, builds = [], []
+    leibniz, build = SemifreeDGA.d, ainfinity.augmented_components
 
-    def counting(dga, augs, n):
-        builds.append((tuple(augs), n))
-        return augmented_components(dga, augs, n)
+    def counting_d(self, x):
+        d_calls.append(self)
+        return leibniz(self, x)
 
-    monkeypatch.setattr(ainfinity, "augmented_components", counting)
-    trivial = [Augmentation.trivial(toy)]
-    # building per arity would make 1 + 2 + 3 + 4 builds
-    assert sum(len(keys) for keys in split_keys(trivial, 4)) == 10
-    for exhaustive in (False, True):
+    def counting_build(dga, augs, n, images=None):
+        builds.append((n, images))
+        return build(dga, augs, n, images)
+
+    monkeypatch.setattr(SemifreeDGA, "d", counting_d)
+    monkeypatch.setattr(ainfinity, "augmented_components", counting_build)
+    runs = [(toy, [Augmentation.trivial(toy)], "I", exhaustive) for exhaustive in (False, True)]
+    runs += [(toy_h, toy_h_augmentations[1:], case, False) for case in ("I", "II")]
+    for dga, objects, case, exhaustive in runs:
+        d_calls.clear()
         builds.clear()
-        assert verify_ainfty(toy, trivial, "I", 4, exhaustive=exhaustive).ok
-        assert sorted(n for _eps, n in builds) == [1, 2, 3, 4]
-    objects = toy_h_augmentations[1:]
-    shared = set().union(*split_keys(objects, 4))
-    assert len(shared) < sum(len(keys) for keys in split_keys(objects, 4))
-    for case in ("I", "II"):
-        builds.clear()
-        assert verify_ainfty(toy_h, objects, case, 4).ok
-        assert len(builds) == len(set(builds)) and set(builds) == shared
-    # a second call builds again: nothing is kept across calls
-    verify_ainfty(toy_h, objects, "I", 4)
-    assert len(builds) == 2 * len(shared)
+        assert verify_ainfty(dga, objects, case, 4, exhaustive=exhaustive).ok
+        assert d_calls == [dga] * len(dga.names)
+        assert [n for n, _square in builds] == [1, 2, 3, 4]
+        square = builds[0][1]
+        assert square is not None and all(images is square for _n, images in builds)
+    # a second call computes d^2 again: nothing is kept across calls
+    verify_ainfty(toy_h, toy_h_augmentations[1:], "I", 4)
+    assert d_calls == [toy_h] * 2 * len(toy_h.names)
+    assert [n for n, _square in builds] == [1, 2, 3, 4] * 2
 
 
 def test_shared_builds_leave_reports_unchanged(corpus, monkeypatch):
@@ -355,3 +355,174 @@ def test_shared_builds_leave_reports_unchanged(corpus, monkeypatch):
     )
     assert shared == reports()
     assert sum(not ok for _label, _checks, ok, _violations in shared) >= 15
+
+
+# -- the relation reads only augmentations -------------------------------------
+
+# curved: eps(d a) = -1 for the trivial map, so it is no augmentation
+CURVED_SOURCE = XY_SOURCE.replace("ring Z2", "ring Q")
+# curved with d^2 = 0: d^2 b = (x*y - 1)*x + x - x*y*x
+CURVED_SQUARE_ZERO_SOURCE = CURVED_SOURCE + "gen e deg 1\ngen b deg 2\nd e = x - x*y*x\nd b = a*x + e\n"
+
+
+def test_relations_reject_maps_that_are_not_augmentations():
+    curved = parse_dga(CURVED_SOURCE)
+    one = curved.algebra.unit()
+    triv = Augmentation.trivial(curved)
+    with pytest.raises(InvalidAugmentationError, match=r"eps\(d a\) = -1"):
+        verify_ainfty(curved, [triv], "I", 3)
+    with pytest.raises(InvalidAugmentationError):
+        ainfty_residual_case1(curved, (triv, triv), [DualElement.term(one, "x")])
+    with pytest.raises(InvalidAugmentationError):
+        ainfty_residual_case2(curved, (triv, triv), [curved.generator("x")])
+    # eps(x) = eps(y) = 1 is an augmentation of d a = x*y - 1, and the same
+    # names with d a = x*y + 1 pass the name check but not eps o d = 0
+    plus = parse_dga(CURVED_SOURCE.replace("x*y - 1", "x*y + 1"))
+    eps = Augmentation(curved, {"x": one, "y": one})
+    assert eps.check().ok
+    with pytest.raises(InvalidAugmentationError, match=r"eps\(d a\) = 2"):
+        verify_ainfty(plus, [eps], "I", 3)
+    with pytest.raises(InvalidAugmentationError):
+        ainfty_residual_case1(plus, (eps, eps), [DualElement.term(one, "x")])
+    with pytest.raises(InvalidAugmentationError):
+        ainfty_residual_case2(plus, (eps, eps), [plus.generator("x")])
+    # the tuple, target and DGA checks come first
+    with pytest.raises(TupleLengthMismatchError):
+        ainfty_residual_case1(curved, (triv,), [DualElement.term(one, "x")])
+
+
+def test_curved_trivial_tuple_separates_the_two_relations():
+    """On a curved DGA with d^2 = 0 the trivial map is no augmentation, and
+    the l = 0 terms of d^2 no longer vanish: the split composition is
+    nonzero where d^2 has nothing.  This is why the relations check eps."""
+    curved = parse_dga(CURVED_SQUARE_ZERO_SOURCE)
+    assert curved.check_d_squared().ok
+    triv = (Augmentation.trivial(curved),) * 2
+    assert _relation(curved, triv, 1, ainfinity._d_squared(curved)) == {}
+    assert composed_relation(curved, triv, 1) == {
+        "b": TensorElement.generator(curved.algebra, "x")
+    }
+    with pytest.raises(InvalidAugmentationError):
+        _relation(curved, triv, 1)
+
+
+# -- generated DGAs ------------------------------------------------------------
+
+
+def composed_relation(dga, augs, n):
+    """The arity-n relation composed split by split: the outer component
+    with the letter at the inner operation's input spliced into that
+    letter's inner component, signed by the parity of the letters in front
+    of it.  It leaves out the l = 0 terms of d^2, so it equals the relation
+    read off d^2 exactly when every eps is an augmentation."""
+    ring = dga.algebra.ring
+    eps = tuple(augs)
+    relation = {}
+    for l in range(1, n + 1):
+        for i in range(1, n + 2 - l):
+            inner = augmented_components(dga, eps[i - 1 : i + l], l)
+            outers = augmented_components(dga, eps[:i] + eps[i + l - 1 :], n + 1 - l)
+            for name, outer in outers.items():
+                terms = relation.setdefault(name, {})
+                for tw, c in outer.terms.items():
+                    image = inner.get(tw.gens[i - 1])
+                    if image is not None:
+                        sign = dga.sign_parity(tw.gens[: i - 1])
+                        _splice(terms, tw, ring.neg(c) if sign else c, i - 1, image)
+    return {name: TensorElement(dga.algebra, terms) for name, terms in relation.items() if terms}
+
+
+# stabilising pairs (x1, y0), (x2, y1) and (c0, s0), where d c0 and d s0
+# splice odd letters, and an isolated cycle u for the augmentations
+GENERATED_BASE = """\
+ring {ring}
+algebra {algebra}
+grading mod 0
+gen c0 deg 4
+gen s0 deg 3
+gen x2 deg 2
+gen y1 deg 1
+gen x1 deg 1
+gen v deg 1
+gen y0 deg 0
+gen u deg 0
+d c0 = x1*x2 + s0
+d s0 = -y0*x2 + x1*y1
+d x2 = y1
+d x1 = y0
+d v = u*y0 - y0*u
+"""
+GENERATED_ALGEBRAS = ["matrix 2", "group free 1 hermitian", "free g1"]
+GENERATED_SCALARS = {"Z2": [1], "Q": [1, -1, 2, Fraction(1, 2)]}
+
+
+@st.composite
+def generated_dgas(draw):
+    """(DGA, augmentations): the base conjugated by one to three random
+    elementary automorphisms g -> g + w, w a word of the degree of g in the
+    other generators (a coefficient when g has degree 0), with the base's
+    augmentations pulled back along them (eps -> eps o phi)."""
+    ring = draw(st.sampled_from(sorted(GENERATED_SCALARS)))
+    dga = parse_dga(
+        GENERATED_BASE.format(ring=ring, algebra=draw(st.sampled_from(GENERATED_ALGEBRAS)))
+    )
+    alg = dga.algebra
+    coefficients = st.sampled_from(list(alg.words(2)))
+    scalars = st.sampled_from(GENERATED_SCALARS[ring])
+
+    def element():
+        terms = draw(st.lists(st.tuples(coefficients, scalars), min_size=1, max_size=2))
+        return alg.from_terms(terms)
+
+    augs = [Augmentation.trivial(dga), Augmentation(dga, {"u": element()})]
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(dga.names))
+        words = [
+            gens
+            for arity in range(3 if dga.degree(name) else 0, -1, -1)
+            for gens in itertools.product(dga.names, repeat=arity)
+            if name not in gens and sum(map(dga.degree, gens)) == dga.degree(name)
+        ]
+        gens = draw(st.sampled_from(words))
+        parts = [alg.element(draw(coefficients))]
+        for gen in gens:
+            parts += [dga.generator(gen), alg.element(draw(coefficients))]
+        offset = tensor_product(parts, alg).scale(draw(scalars))
+        images = {name: dga.generator(name) + offset}
+        pulled = [{g: aug.evaluate(images.get(g, dga.generator(g))) for g in dga.names} for aug in augs]
+        dga = dga.conjugate(images)
+        augs = [Augmentation(dga, values) for values in pulled]
+    assert dga.check_d_squared().ok
+    assert all(aug.check().ok for aug in augs)
+    return dga, augs
+
+
+def variants(dga, augs):
+    """The DGA and each of its broken copies, with one differential dropped."""
+    yield dga, augs
+    for name in dga.differential:
+        broken = dropped(dga, name)
+        yield broken, on(broken, augs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(generated_dgas())
+def test_generated_relations_match_the_split_composition(instance):
+    nonzero = 0
+    for dga, augs in variants(*instance):
+        for n in range(1, MAX_ARITY + 1):
+            for eps in itertools.product(augs, repeat=n + 1):
+                relation = _relation(dga, eps, n)
+                assert relation == composed_relation(dga, eps, n), (n, eps)
+                nonzero += bool(relation)
+    assert nonzero
+
+
+@settings(max_examples=10, deadline=None)
+@given(generated_dgas())
+def test_generated_reports_match_the_split_by_split_reports(instance):
+    for dga, augs in variants(*instance):
+        for case in ("I", "II") if dga.algebra.hermitian else ("I",):
+            report = verify_ainfty(dga, augs, case, MAX_ARITY)
+            expected = split_by_split_report(dga, augs, case, MAX_ARITY)
+            assert (report.checks, report.violations) == (expected.checks, expected.violations)

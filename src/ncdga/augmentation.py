@@ -130,6 +130,20 @@ class Augmentation:
         return f"<Augmentation into {self.target}: {listed or 'trivial'}>"
 
 
+def require_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation]) -> None:
+    """Raise :class:`InvalidAugmentationError` unless every entry of
+    ``augs`` is an augmentation of ``dga`` (:meth:`Augmentation.check`).
+    The message names the first failing entry by its position in ``augs``;
+    an entry that repeats an earlier one is not checked again."""
+    for i, aug in enumerate(augs):
+        if aug in augs[:i]:
+            continue
+        check = Augmentation(dga, aug.values, aug.morphism).check()
+        if not check.ok:
+            check.title = f"augmentation {i + 1} of {len(augs)}"
+            raise InvalidAugmentationError(str(check))
+
+
 def push_to_target(aug: Augmentation, developed_base: SemifreeDGA) -> Augmentation:
     """Reinterpret an augmentation over the target coefficients, for use on
     a DGA already obtained by the matching change of coefficients."""

@@ -14,6 +14,7 @@ representatives``, and with ``--json`` emits an object::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -369,9 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process: building it costs about as much
+# as a small homology run, and parse_args leaves the parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (NcdgaError, OSError) as exc:

@@ -32,7 +32,7 @@ from .ainfinity import _evaluate_case1, _evaluate_case2, augmented_components
 # re-exported: callers reach the operations through this module too
 from .ainfinity import mu_eps_case1, mu_eps_case2  # noqa: F401
 from .algebra import AlgebraElement
-from .augmentation import Augmentation, push_to_target
+from .augmentation import Augmentation, push_to_target, require_augmentations
 from .dga import SemifreeDGA
 from .errors import (
     InfiniteDimensionalCoefficientsError,
@@ -281,11 +281,13 @@ class ChainComplex:
 
 
 def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
-    """Move everything over the (common) augmentation target."""
+    """Check that every entry is an augmentation of ``dga``, then move
+    everything over the (common) augmentation target."""
     first = augs[0]
     for aug in augs[1:]:
         if aug.target != first.target or aug.morphism.images != first.morphism.images:
             raise TargetMismatchError("augmentations do not share a coefficient map")
+    require_augmentations(dga, augs)
     if first.morphism.is_identity:
         return dga, list(augs)
     base = dga.change_coefficients(first.morphism)
@@ -305,9 +307,15 @@ def bilinearized_complex(
     the corner's columns are evaluated, and the returned complex has the
     corner as its core (see :class:`ChainComplex`); its basis is still the
     full one."""
+    base, (a0, a1) = _prepare(dga, [e0, e1])
+    return _complex(base, a0, a1, case)
+
+
+def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -> ChainComplex:
+    """:func:`bilinearized_complex` of augmentations that :func:`_prepare`
+    has already checked and moved over ``base``."""
     if case not in ("I", "II"):
         raise NcdgaError(f"unknown case {case!r}")
-    base, (a0, a1) = _prepare(dga, [e0, e1])
     alg = base.algebra
     if not alg.ring.is_field:
         raise NcdgaError("homology needs field scalars (Q or Z/p)")
@@ -516,9 +524,9 @@ class HomologyProduct:
         base, (a0, a1, a2) = _prepare(dga, [e0, e1, e2])
         self.base = base
         self.augs = (a0, a1, a2)
-        self.cx01 = bilinearized_complex(base, a0, a1, case)
-        self.cx12 = bilinearized_complex(base, a1, a2, case)
-        self.cx02 = bilinearized_complex(base, a0, a2, case)
+        self.cx01 = _complex(base, a0, a1, case)
+        self.cx12 = _complex(base, a1, a2, case)
+        self.cx02 = _complex(base, a0, a2, case)
         self.h01 = homology(self.cx01)
         self.h12 = homology(self.cx12)
         self.h02 = homology(self.cx02)
@@ -615,8 +623,8 @@ def mirror_compare(
         report.record(check.ok, f"transported augmentation invalid: {check}")
     if not report.ok:
         return report
-    h = homology(bilinearized_complex(base, a0, a1, case))
-    hm = homology(bilinearized_complex(mirrored, m1, m0, case))
+    h = homology(_complex(base, a0, a1, case))
+    hm = homology(_complex(mirrored, m1, m0, case))
     degrees = sorted(set(h.dims) | set(hm.dims))
     for degree in degrees:
         d1, d2 = h.dims.get(degree, 0), hm.dims.get(degree, 0)

@@ -4,12 +4,17 @@ import json
 
 import pytest
 
-from ncdga.cli import main
+from ncdga import cli
+from ncdga.cli import build_parser, main
 
 from conftest import XY_SOURCE
 
 AUG_P = "target matrix 2 over Z2 ; x = [[0,1],[1,0]] ; y = [[0,1],[1,0]]\n"
 AUG_ID = "target matrix 2 over Z2 ; x = [[1,0],[0,1]] ; y = [[1,0],[0,1]]\n"
+# augmentations of d a = x*y - 1 over Q: x = y = 1 is one, x = 2, y = 1 is not
+CURVED_SOURCE = XY_SOURCE.replace("ring Z2", "ring Q")
+AUG_ONE = "target free over Q\nx = 1\ny = 1\n"
+AUG_TWO = "target free over Q\nx = 2\ny = 1\n"
 
 
 @pytest.fixture()
@@ -31,6 +36,17 @@ def xy_file(tmp_path):
     path = tmp_path / "xy.dga"
     path.write_text(XY_SOURCE)
     return str(path)
+
+
+@pytest.fixture()
+def curved_files(tmp_path):
+    """The curved DGA over Q, an augmentation of it and a map that is not."""
+    paths = []
+    for name, text in [("curved.dga", CURVED_SOURCE), ("one.aug", AUG_ONE), ("two.aug", AUG_TWO)]:
+        path = tmp_path / name
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
 
 
 def test_example_prints_source(capsys):
@@ -121,6 +137,17 @@ def test_ainfty_verify_needs_augmentations(tmp_path, capsys):
     assert "eps(d a) = -1" in captured.err
 
 
+def test_ainfty_verify_without_candidates_checks_every_pattern(curved_files, capsys):
+    """No differential contains a, so no arity has a candidate pattern."""
+    curved, one, _two = curved_files
+    args = ["ainfty-verify", curved, "--case", "I", "--eps", one]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out == "all residuals vanish (120 checks)\n"
+    assert main(args + ["--exhaustive"]) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_ainfty_verify_without_checks_is_a_usage_error(toy_file, capsys, bound):
     assert main(["ainfty-verify", toy_file, "--case", "I", "--max-arity", bound]) == 2
@@ -199,6 +226,87 @@ def test_wrong_augmentation_count_is_a_usage_error(xy_file, tmp_path, capsys, co
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, augs, message",
+    [
+        ("homology", [], "augmentation 1 of 2: FAILED (1 of 3 checks)\n  eps(d a) = -1"),
+        ("homology", ["two"], "augmentation 1 of 2: FAILED (1 of 5 checks)\n  eps(d a) = 1"),
+        ("homology", ["one", "two"], "augmentation 2 of 2: FAILED (1 of 5 checks)\n  eps(d a) = 1"),
+        ("linearize", ["two", "one"], "augmentation 1 of 2: FAILED (1 of 5 checks)\n  eps(d a) = 1"),
+        ("product", ["two"], "augmentation 1 of 3: FAILED (1 of 5 checks)\n  eps(d a) = 1"),
+        ("product", ["one", "one", "two"], "augmentation 3 of 3: FAILED (1 of 5 checks)\n  eps(d a) = 1"),
+    ],
+    ids=["homology-trivial", "homology-one-file", "homology-second", "linearize", "product-one-file", "product-third"],
+)
+def test_complexes_need_augmentations(curved_files, capsys, command, augs, message):
+    """The trivial map and x = 2, y = 1 do not vanish on d a = x*y - 1;
+    the message names the first entry of the tuple that fails."""
+    curved, one, two = curved_files
+    args = [command, curved]
+    for name in augs:
+        args += ["--aug", one if name == "one" else two]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_error_names_the_failing_augmentation(curved_files, capsys):
+    curved, one, two = curved_files
+    assert main(["ainfty-verify", curved, "--case", "I", "--eps", one, "--eps", two]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: augmentation 2 of 2: FAILED (1 of 5 checks)\n  eps(d a) = 1\n"
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one main call; usage errors and
+    --help exit through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_match_fresh_parsers(xy_file, curved_files, tmp_path, monkeypatch, capsys):
+    """main parses with one parser per process; a sequence of calls prints
+    what it prints when every call builds its own parser."""
+    aug_p = tmp_path / "p.aug"
+    aug_p.write_text(AUG_P)
+    aug_id = tmp_path / "id.aug"
+    aug_id.write_text(AUG_ID)
+    curved, one, _two = curved_files
+    commutator = tmp_path / "commutator.dga"
+    commutator.write_text(CURVED_SOURCE.replace("x*y - 1", "x*y - y*x"))
+    pair = ["--aug", str(aug_p), "--aug", str(aug_id)]
+    calls = [
+        ["homology", xy_file] + pair,
+        ["homology", xy_file] + pair + ["--json"],
+        # appends to --aug do not carry over: no --aug is the trivial map
+        ["homology", curved],
+        ["homology", str(commutator)],
+        ["homology", xy_file, "--aug", str(aug_p), "--case", "II", "--json"],
+        ["homology", xy_file, "--case", "III"],
+        ["homology", curved, "--aug", one],
+        ["product", xy_file, "--aug", str(aug_p)],
+        ["linearize", xy_file] + pair + ["--case", "II"],
+        ["homology", "--help"],
+        ["homology", xy_file, "--aug", str(aug_id)],
+        ["ainfty-verify", curved, "--case", "I", "--eps", one, "--max-arity", "2"],
+    ]
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    reused = [_run(argv, capsys) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [_run(argv, capsys) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _out, _err in reused] == [0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+    assert reused[2][2] == "error: augmentation 1 of 2: FAILED (1 of 3 checks)\n  eps(d a) = -1\n"
+    assert "invalid choice: 'III'" in reused[5][2]
 
 
 def test_ncopy_mirror_subdga_roundtrip(toy_file, tmp_path, capsys):

@@ -15,6 +15,7 @@ from ncdga import (
 )
 from ncdga.errors import (
     InfiniteDimensionalCoefficientsError,
+    InvalidAugmentationError,
     NcdgaError,
     NotAComplexError,
     NotMatrixTargetError,
@@ -157,6 +158,21 @@ def test_not_a_complex_detected(toy_specialized):
     broken_diff[2][0][0] = cx.field.one  # ... and d(c2) = c1
     with pytest.raises(NotAComplexError):
         ChainComplex(cx.dga, cx.augs, "I", cx.basis, broken_diff, cx.label_str)
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_maps_that_are_not_augmentations_are_rejected(xy_dga, m2, xy_into_m2, aug_p, case):
+    """d a = x*y - 1 is curved: the trivial map sends d a to 1 over Z2."""
+    triv = Augmentation.trivial(xy_dga)
+    with pytest.raises(InvalidAugmentationError, match=r"augmentation 1 of 2: .*\n  eps\(d a\) = 1"):
+        bilinearized_complex(xy_dga, triv, triv, case)
+    with pytest.raises(InvalidAugmentationError, match=r"augmentation 1 of 3: .*\n  eps\(d a\) = 1"):
+        product_on_homology(xy_dga, triv, triv, triv, case)
+    # a failing entry is named by its position, also over a changed target
+    swap = m2.from_terms([((1, 2), 1), ((2, 1), 1)])
+    bad = Augmentation(xy_dga, {"x": swap, "y": m2.from_terms([((1, 1), 1)])}, xy_into_m2)
+    with pytest.raises(InvalidAugmentationError, match="augmentation 3 of 3: "):
+        product_on_homology(xy_dga, aug_p, aug_p, bad, case)
 
 
 def test_pairs_must_share_coefficient_map(xy_dga, aug_p):

@@ -106,16 +106,21 @@ def split_by_split_case2(dga, relation, inputs):
     return total
 
 
-def split_by_split_report(dga, objects, case, max_arity):
-    """``verify_ainfty`` over candidate patterns and the default pool, with
-    every residual summed split by split."""
+def split_by_split_report(dga, objects, case, max_arity, exhaustive=False):
+    """``verify_ainfty`` over candidate patterns (every pattern with
+    ``exhaustive`` or when no arity has a candidate) and the default pool,
+    with every residual summed split by split."""
     alg = dga.algebra
     pool = default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
         relation = split_by_split_relation(dga, eps, n)
-        for pattern in candidate_patterns(dga, eps, n):
+        if exhaustive:
+            patterns = itertools.product(dga.names, repeat=n)
+        else:
+            patterns = candidate_patterns(dga, eps, n)
+        for pattern in patterns:
             for coeffs in itertools.product(pool, repeat=n if case == "I" else n - 1):
                 if case == "I":
                     inputs = [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
@@ -135,6 +140,8 @@ def split_by_split_report(dga, objects, case, max_arity):
                 report.record(
                     residual.is_zero(), f"arity {n}, inputs {listed}: residual {residual}"
                 )
+    if not exhaustive and not report.checks:
+        return split_by_split_report(dga, objects, case, max_arity, exhaustive=True)
     return report
 
 

@@ -54,6 +54,7 @@ from .tensor import (
     TensorWord,
     adjoint_formula,
     psi_eval,
+    slot_products,
     tensor_product,
 )
 
@@ -83,22 +84,25 @@ def _d_squared(dga: SemifreeDGA) -> dict[str, TensorElement]:
 
 def _placements(
     dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
-) -> Iterator[tuple[str, TensorWord, object, list]]:
+) -> Iterator[tuple[str, TensorWord, object, list, tuple]]:
     """Every way to read an arity-n operation off the differential (or off
     ``images`` of the generators): for each word of d(generator) of arity
     at least n and each choice of n survivor letters, (generator, word,
-    coefficient, letters), where ``letters`` is None at each survivor and
-    elsewhere the value of the letter under the augmentation of its block.
+    coefficient, letters, survivors), where ``letters`` is None at each
+    survivor and elsewhere the value of the letter under the augmentation
+    of its block, and ``survivors`` are the survivors' generators.
     Placements in which a block's augmentation kills a letter are skipped."""
     for name in dga.names:
         image = dga.d_of_generator(name) if images is None else images[name]
         for tw, coeff in image.terms.items():
             for survivors in itertools.combinations(range(tw.arity), n):
                 letters: list = []
+                kept: list = []
                 block = 0
                 for pos, gen in enumerate(tw.gens):
                     if block < n and survivors[block] == pos:
                         letters.append(None)
+                        kept.append(gen)
                         block += 1
                         continue
                     value = augs[block].values.get(gen)
@@ -106,7 +110,7 @@ def _placements(
                         break
                     letters.append(value)
                 else:
-                    yield name, tw, coeff, letters
+                    yield name, tw, coeff, letters, tuple(kept)
 
 
 def augmented_components(
@@ -118,8 +122,8 @@ def augmented_components(
     replaced by its augmentation value.  ``augs`` has n + 1 entries, one
     per block.  Generators whose component vanishes are left out.
 
-    A placement is built by slot products: the algebra factors between
-    consecutive survivors multiply into n + 1 slot elements (a placement
+    A placement is built by :func:`slot_products`: the algebra factors
+    between consecutive survivors multiply into n + 1 slots (a placement
     stops at the first slot that vanishes), and the placement adds the
     outer product of the slots' terms, with the survivors as generators.
     Writing a survivor as the sum of u g v over pairs of unit words would
@@ -127,40 +131,19 @@ def augmented_components(
     a (sum u g v) b = a g b."""
     _check_tuple(dga, augs, n + 1)
     alg = dga.algebra
-    ring, mul_words = alg.ring, alg.mul_words
-    one = ring.one
+    ring = alg.ring
     components: dict[str, dict] = {}
-    for name, tw, coeff, letters in _placements(dga, augs, n, images):
-        slots: list[dict] = []
-        gens: list[str] = []
-        slot = {tw.coeffs[0]: one}
-        for gen, value, word in zip(tw.gens, letters, tw.coeffs[1:]):
-            if value is None:
-                slots.append(slot)
-                gens.append(gen)
-                slot = {word: one}
-                continue
-            product: dict = {}
-            for w1, c1 in slot.items():
-                for w2, c2 in value.terms.items():
-                    w = mul_words(w1, w2)
-                    if w is not None:
-                        w = mul_words(w, word)
-                        if w is not None:
-                            ring.add_term(product, w, ring.mul(c1, c2))
-            slot = product
-            if not slot:
-                break
-        else:
-            slots.append(slot)
-            survivors = tuple(gens)
-            terms = components.setdefault(name, {})
-            for choice in itertools.product(*(s.items() for s in slots)):
-                c = coeff
-                for _w, v in choice:
-                    c = ring.mul(c, v)
-                word = TensorWord(tuple(w for w, _v in choice), survivors)
-                ring.add_term(terms, word, c)
+    for name, tw, coeff, letters, survivors in _placements(dga, augs, n, images):
+        slots = slot_products(alg, tw, letters)
+        if not slots:
+            continue
+        terms = components.setdefault(name, {})
+        for choice in itertools.product(*(s.items() for s in slots)):
+            c = coeff
+            for _w, v in choice:
+                c = ring.mul(c, v)
+            word = TensorWord(tuple(w for w, _v in choice), survivors)
+            ring.add_term(terms, word, c)
     return {name: TensorElement(alg, terms) for name, terms in components.items() if terms}
 
 
@@ -188,6 +171,15 @@ def _evaluate_case2(
     if x.is_zero() or not components:
         return TensorElement.zero(dga.algebra)
     return adjoint_formula(components, 0, 0, x)
+
+
+def _evaluate(dga: SemifreeDGA, case: str, components: Mapping[str, TensorElement], chains):
+    """The operation that reads ``components``, on one chain per input:
+    slot by slot on functionals in case I, the adjoint on the tensor
+    product of bimodule elements in case II."""
+    if case == "I":
+        return _evaluate_case1(dga, components, chains)
+    return _evaluate_case2(dga, components, tensor_product(chains))
 
 
 def _case2_arity(dga: SemifreeDGA, x: TensorElement) -> int:
@@ -297,10 +289,7 @@ def _pattern_matches(
     arity-l operation can have a nonzero term: the survivors of every
     placement.  Structural: a product that happens to vanish still
     counts."""
-    return {
-        (tuple(gen for gen, value in zip(tw.gens, letters) if value is None), name)
-        for name, tw, _coeff, letters in _placements(dga, augs, l)
-    }
+    return {(survivors, name) for name, *_, survivors in _placements(dga, augs, l)}
 
 
 def _relation(
@@ -370,17 +359,16 @@ def verify_ainfty(
     objects: Sequence[Augmentation],
     case: str,
     max_arity: int,
-    coeff_pool: Sequence[AlgebraElement] | None = None,
     exhaustive: bool = False,
 ) -> Report:
     """Check the relations at every arity up to ``max_arity``.
 
     ``objects``, augmentations of ``dga``, supply the tuple, repeated
     cyclically when shorter than max_arity + 1.  Inputs run over candidate
-    generator patterns decorated with ``coeff_pool`` (case I: pool element
-    times generator; case II: generators joined by pool elements).  With
-    ``exhaustive`` every generator pattern is enumerated instead, as it is
-    when no arity has a candidate pattern.
+    generator patterns decorated with :func:`default_coeff_pool` (case I:
+    pool element times generator; case II: generators joined by pool
+    elements).  With ``exhaustive`` every generator pattern is enumerated
+    instead, as it is when no arity has a candidate pattern.
     """
     if case not in ("I", "II"):
         raise NcdgaError(f"unknown case {case!r}")
@@ -391,7 +379,7 @@ def verify_ainfty(
         # with no checks at all
         raise ArityMismatchError(f"max arity must be at least 1, got {max_arity}")
     alg = dga.algebra
-    pool = list(coeff_pool) if coeff_pool is not None else default_coeff_pool(alg)
+    pool = default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     joiner = ", " if case == "I" else " (x) "
     _check_augmentations(dga, objects, len(objects))
@@ -415,10 +403,7 @@ def verify_ainfty(
                     ] + [TensorElement.generator(alg, pattern[-1])]
                 if any(m.is_zero() for m in inputs):
                     continue
-                if case == "I":
-                    residual = _evaluate_case1(dga, relation, inputs)
-                else:
-                    residual = _evaluate_case2(dga, relation, tensor_product(inputs))
+                residual = _evaluate(dga, case, relation, inputs)
                 if residual.is_zero():
                     report.record(True, "")  # a passing check formats no message
                 else:
@@ -427,5 +412,5 @@ def verify_ainfty(
     if not exhaustive and not report.checks:
         # no candidate pattern at any arity; a pass with no checks shows
         # nothing, so check every pattern
-        return verify_ainfty(dga, objects, case, max_arity, coeff_pool, exhaustive=True)
+        return verify_ainfty(dga, objects, case, max_arity, exhaustive=True)
     return report

@@ -149,7 +149,10 @@ def _parse_int(stream: _Stream) -> int:
         stream.next()
         negative = True
     tok = stream.expect("number", "an integer")
-    value = int(tok.text)
+    try:
+        value = int(tok.text)
+    except ValueError:  # past the interpreter's limit on digits converted by int()
+        raise ParseError(f"{len(tok.text)}-digit integer too long", tok.line, tok.column) from None
     return -value if negative else value
 
 
@@ -198,6 +201,10 @@ def _parse_algebra_decl(stream: _Stream, ring: Ring) -> CoefficientAlgebra:
     raise ParseError(f"unknown algebra kind {tok.text!r}", tok.line, tok.column)
 
 
+# each level of parentheses takes three parser frames of the interpreter's stack
+_MAX_NESTING = 200
+
+
 class _ExpressionParser:
     """Evaluates expressions directly into tensor elements."""
 
@@ -213,6 +220,7 @@ class _ExpressionParser:
         self.generators = generators
         self.symbols = algebra.symbols()
         self.extra = extra or {}
+        self.depth = 0  # parentheses open around the current atom
 
     def parse(self) -> TensorElement:
         stream = self.stream
@@ -245,8 +253,12 @@ class _ExpressionParser:
         if tok.kind == "number":
             return TensorElement.from_scalar(self.algebra, self._scalar())
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"over {_MAX_NESTING} nested parentheses", tok.line, tok.column)
             stream.next()
+            self.depth += 1
             inner = self.parse()
+            self.depth -= 1
             stream.expect(")")
             return inner
         if tok.kind == "[":
@@ -535,7 +547,7 @@ def _morphism_from_images(source, target, coeff_images) -> CoefficientMorphism:
                     raise UnknownGeneratorError(f"unknown symbol {base!r}", tok.line, tok.column)
                 images[source.names.index(base) + 1] = value
             else:
-                if not (base.startswith("g") and base[1:].isdigit()):
+                if base not in source.symbols():
                     raise UnknownGeneratorError(f"unknown symbol {base!r}", tok.line, tok.column)
                 index = int(base[1:])
                 images[-index if inverse else index] = value

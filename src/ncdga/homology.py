@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .ainfinity import _evaluate_case1, _evaluate_case2, augmented_components
+from .ainfinity import _evaluate, augmented_components
 # re-exported: callers reach the operations through this module too
 from .ainfinity import mu_eps_case1, mu_eps_case2  # noqa: F401
 from .algebra import AlgebraElement
@@ -158,17 +158,13 @@ class ChainComplex:
     the first call of :meth:`matrix`.  Every other complex is the one block
     (1, 1) and its own core, at the identity positions."""
 
-    def __init__(
-        self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, label_str, core=None
-    ):
+    def __init__(self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, core=None):
         self.dga = dga
         self.augs = augs
         self.case = case
         self.field: Ring = dga.algebra.ring
-        self.modulus = dga.modulus
-        self.basis = basis  # degree -> list of labels
+        self.basis = basis  # degree -> list of labels (see _chain)
         self.diff = diff    # degree -> matrix (rows: degree+1 basis, cols: degree basis)
-        self.label_str = label_str
         if core is None:
             self.core = self
             self.blocks = [(1, 1)]
@@ -195,7 +191,15 @@ class ChainComplex:
         return sorted(self.basis)
 
     def _next(self, degree: int) -> int:
-        return (degree + 1) % self.modulus if self.modulus else degree + 1
+        return self.dga.reduce_degree(degree + 1)
+
+    def label_str(self, label) -> str:
+        """A label as printed: the generator between its words, units left out."""
+        word_str = self.dga.algebra.word_str
+        parts = [word_str(label[0]), label[1]]
+        if len(label) == 3:  # a case II label has a word on each side
+            parts.append(word_str(label[2]))
+        return "*".join([part for part in parts if part != "1"])
 
     def matrix(self, degree: int) -> list[list]:
         core = self.core
@@ -240,30 +244,14 @@ class ChainComplex:
 
     def element_of(self, degree: int, vector: list):
         """Chain with the given coordinates, as a library element."""
-        labels = self.basis[degree]
-        alg = self.dga.algebra
-        if self.case == "I":
-            terms: dict = {}
-            for c, (word, gen) in zip(vector, labels):
-                alg.ring.add_term(terms.setdefault(gen, {}), word, c)
-            return DualElement(alg, {g: AlgebraElement(alg, t) for g, t in terms.items()})
-        out: dict = {}
-        for c, (left, gen, right) in zip(vector, labels):
-            alg.ring.add_term(out, TensorWord((left, right), (gen,)), c)
-        return TensorElement(alg, out)
+        return _chain(self.dga.algebra, self.case, zip(self.basis[degree], vector))
 
     def vector_of(self, degree: int, element) -> list:
         labels = self.basis[degree]
         index = {label: i for i, label in enumerate(labels)}
-        ring = self.field
-        vec = [ring.zero] * len(labels)
-        if self.case == "I":
-            for gen, coeff in element.terms.items():
-                for word, c in coeff.terms.items():
-                    vec[index[(word, gen)]] = c
-        else:
-            for tw, c in element.terms.items():
-                vec[index[(tw.coeffs[0], tw.gens[0], tw.coeffs[1])]] = c
+        vec = [self.field.zero] * len(labels)
+        for label, c in _coordinates(self.case, element):
+            vec[index[label]] = c
         return vec
 
     def apply_d(self, degree: int, vector: list) -> list:
@@ -278,6 +266,30 @@ class ChainComplex:
                 total = ring.add(total, ring.mul(row[j], c))
             out[i] = total
         return out
+
+
+def _chain(alg, case: str, pairs):
+    """The chain sum of c * label over (label, c) pairs: in case I a
+    functional, the labels (word, generator) standing for word * generator;
+    in case II a bimodule element, the labels (left, generator, right)
+    standing for left generator right."""
+    add_term = alg.ring.add_term
+    if case == "I":
+        terms: dict = {}
+        for (word, gen), c in pairs:
+            add_term(terms.setdefault(gen, {}), word, c)
+        return DualElement(alg, {g: AlgebraElement(alg, t) for g, t in terms.items()})
+    out: dict = {}
+    for (left, gen, right), c in pairs:
+        add_term(out, TensorWord((left, right), (gen,)), c)
+    return TensorElement(alg, out)
+
+
+def _coordinates(case: str, element) -> list:
+    """The (label, c) pairs of a chain of arity one, inverse to :func:`_chain`."""
+    if case == "I":
+        return [((w, g), c) for g, b in element.terms.items() for w, c in b.terms.items()]
+    return [((tw.coeffs[0], tw.gens[0], tw.coeffs[1]), c) for tw, c in element.terms.items()]
 
 
 def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
@@ -340,23 +352,6 @@ def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -
                 label for label in labels if label[0][0] == 1 and label[2][1] == 1
             )
 
-    def label_str(label) -> str:
-        if case == "I":
-            word, gen = label
-            ws = alg.word_str(word)
-            return gen if ws == "1" else f"{ws}*{gen}"
-        left, gen, right = label
-        ls, rs = alg.word_str(left), alg.word_str(right)
-        parts = [p for p in (ls if ls != "1" else "", gen, rs if rs != "1" else "") if p]
-        return "*".join(parts)
-
-    def chain_of(label):
-        if case == "I":
-            word, gen = label
-            return DualElement.term(alg.element(word), gen)
-        left, gen, right = label
-        return TensorElement(alg, {TensorWord((left, right), (gen,)): alg.ring.one})
-
     if case == "II" and not alg.hermitian:
         raise NotHermitianError(f"{alg} has no hermitian structure")
     # the arity-one operation reads these components; they do not depend
@@ -366,30 +361,17 @@ def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -
     evaluated = corner_basis if morita else basis
     diff: dict[int, list[list]] = {}
     for degree, labels in evaluated.items():
-        target_degree = (degree + 1) % base.modulus if base.modulus else degree + 1
-        target_labels = evaluated.get(target_degree, [])
+        target_labels = evaluated.get(base.reduce_degree(degree + 1), [])
         index = {label: i for i, label in enumerate(target_labels)}
         matrix = [[alg.ring.zero] * len(labels) for _ in target_labels]
         for col, label in enumerate(labels):
-            if case == "I":
-                value = _evaluate_case1(base, components, [chain_of(label)])
-                pairs = [
-                    ((w, gen), c)
-                    for gen, coeff in value.terms.items()
-                    for w, c in coeff.terms.items()
-                ]
-            else:
-                value = _evaluate_case2(base, components, chain_of(label))
-                pairs = [
-                    ((tw.coeffs[0], tw.gens[0], tw.coeffs[1]), c)
-                    for tw, c in value.terms.items()
-                ]
-            for label_out, c in pairs:
+            value = _evaluate(base, case, components, [_chain(alg, case, [(label, alg.ring.one)])])
+            for label_out, c in _coordinates(case, value):
                 matrix[index[label_out]][col] = c
         diff[degree] = matrix
-    cx = ChainComplex(base, (a0, a1), case, evaluated, diff, label_str)
+    cx = ChainComplex(base, (a0, a1), case, evaluated, diff)
     if morita:
-        return ChainComplex(base, (a0, a1), case, basis, {}, label_str, core=cx)
+        return ChainComplex(base, (a0, a1), case, basis, {}, core=cx)
     return cx
 
 
@@ -541,10 +523,7 @@ class HomologyProduct:
         cx01, cx12, cx02 = complexes
         x = cx01.element_of(deg_x, x_vec)
         y = cx12.element_of(deg_y, y_vec)
-        if self.case == "I":
-            value = _evaluate_case1(self.base, self.components, [x, y])
-        else:
-            value = _evaluate_case2(self.base, self.components, x * y)
+        value = _evaluate(self.base, self.case, self.components, [x, y])
         degree = self.output_degree(deg_x, deg_y)
         if degree not in cx02.basis:
             if value.is_zero():
@@ -553,8 +532,7 @@ class HomologyProduct:
         return degree, cx02.vector_of(degree, value)
 
     def output_degree(self, deg_x: int, deg_y: int) -> int:
-        degree = deg_x + deg_y
-        return degree % self.base.modulus if self.base.modulus else degree
+        return self.base.reduce_degree(deg_x + deg_y)
 
     def product_class(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
         degree, vec = self.product_chain(deg_x, x_vec, deg_y, y_vec)

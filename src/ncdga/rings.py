@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NcdgaError
 
@@ -70,11 +71,13 @@ class Ring:
             return value.numerator
         return int(value)
 
-    @property
+    # cached: slot products ask for one once per placement, and building a
+    # fresh Fraction(1) each time was a measurable share of a component build
+    @cached_property
     def zero(self):
         return self.coerce(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.coerce(1)
 
@@ -140,7 +143,11 @@ class Ring:
         if name == "Q":
             return Q
         if name.startswith("Z") and name[1:].isdigit():
-            return Ring("Zp", int(name[1:]))
+            try:
+                p = int(name[1:])
+            except ValueError:  # past the interpreter's limit on digits converted by int()
+                raise NcdgaError(f"modulus of {len(name) - 1} digits is too long") from None
+            return Ring("Zp", p)
         raise NcdgaError(f"unknown ring {name!r}")
 
 

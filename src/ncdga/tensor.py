@@ -264,21 +264,7 @@ class DualElement:
 
     def eval_on(self, element: TensorElement) -> AlgebraElement:
         """Evaluate the bimodule functional on an arity-one element."""
-        if element.algebra != self.algebra:
-            raise AlgebraMismatchError("mixed algebras in dual evaluation")
-        ring = self.algebra.ring
-        out: dict = {}
-        for tw, c in element.terms.items():
-            if tw.arity != 1:
-                raise ArityMismatchError("dual evaluation needs an arity-1 element")
-            b = self.terms.get(tw.gens[0])
-            if b is None:
-                continue
-            left = self.algebra.element(tw.coeffs[0])
-            right = self.algebra.element(tw.coeffs[1])
-            for w, v in (left * b * right).terms.items():
-                ring.add_term(out, w, ring.mul(c, v))
-        return AlgebraElement(self.algebra, out)
+        return psi_eval([self], element)
 
     def __str__(self):
         if not self.terms:
@@ -309,6 +295,35 @@ class DualElement:
         return f"<{self}>"
 
 
+def slot_products(algebra: CoefficientAlgebra, tw: TensorWord, letters: Sequence) -> list[dict]:
+    """The slots of a word whose letters are kept (None in ``letters``) or
+    replaced by algebra elements: the algebra factors between consecutive
+    kept letters multiplied out, one term map per slot, so n kept letters
+    give n + 1 slots.  Returns [] as soon as a slot vanishes."""
+    ring, mul_words = algebra.ring, algebra.mul_words
+    one = ring.one
+    slots: list[dict] = []
+    slot = {tw.coeffs[0]: one}
+    for value, word in zip(letters, tw.coeffs[1:]):
+        if value is None:
+            slots.append(slot)
+            slot = {word: one}
+            continue
+        product: dict = {}
+        for w1, c1 in slot.items():
+            for w2, c2 in value.terms.items():
+                w = mul_words(w1, w2)
+                if w is not None:
+                    w = mul_words(w, word)
+                    if w is not None:
+                        ring.add_term(product, w, ring.mul(c1, c2))
+        if not product:
+            return []
+        slot = product
+    slots.append(slot)
+    return slots
+
+
 def psi_eval(betas: Sequence[DualElement], element: TensorElement) -> AlgebraElement:
     """Evaluate beta_1 x ... x beta_n on an arity-n element, slotwise.
 
@@ -332,14 +347,9 @@ def psi_eval(betas: Sequence[DualElement], element: TensorElement) -> AlgebraEle
         values = [beta.terms.get(gen) for beta, gen in zip(betas, tw.gens)]
         if any(b is None for b in values):
             continue
-        # multiply only once every generator matches, and stop at a zero
-        value = alg.element(tw.coeffs[0])
-        for b, slot in zip(values, tw.coeffs[1:]):
-            value = value * b * alg.element(slot)
-            if value.is_zero():
-                break
-        else:
-            for w, v in value.terms.items():
+        # every letter is replaced: one slot, or none once a product vanishes
+        for slot in slot_products(alg, tw, values):
+            for w, v in slot.items():
                 ring.add_term(out, w, ring.mul(c, v))
     return AlgebraElement(alg, out)
 

@@ -1,5 +1,6 @@
 """End-to-end driver tests: exit codes, outputs, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -411,3 +412,82 @@ def test_help_lists_every_subcommand(capsys):
         "example",
     ]:
         assert name in out
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"ring Q\nalgebra free\n\xff\xfe gen a deg 1\n", "is not UTF-8 text: invalid start byte at byte 20"),
+        (b"ring Q\nalgebra free\ngen a deg 1\nd a = " + b"(" * 3000 + b"1" + b")" * 3000, "(line 4, column 207)"),
+    ],
+    ids=["not-utf8", "deep-parentheses"],
+)
+def test_malformed_input_files_are_usage_errors(tmp_path, capsys, data, message):
+    path = tmp_path / "malformed.dga"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    if "UTF-8" in message:
+        assert str(path) in captured.err
+
+
+# recorded before case I and case II shared one label codec: the curved DGA
+# into matrix 2 over Q with two augmentations, and the commutator DGA with one
+M2_P = "target matrix 2 over Q\nx = [[0,1],[1,0]]\ny = [[0,1],[1,0]]\n"
+M2_U = "target matrix 2 over Q\nx = [[1,1],[0,1]]\ny = [[1,-1],[0,1]]\n"
+M2_C = "target matrix 2 over Q\nx = [[1,1],[0,1]]\ny = [[2,1],[0,2]]\n"
+COMMUTATOR_SOURCE = CURVED_SOURCE.replace("x*y - 1", "x*y - y*x")
+
+
+@pytest.mark.parametrize(
+    "source, augs, case, lines, digest",
+    [
+        (CURVED_SOURCE, [M2_P, M2_U], "I", 8, "e74dc15ab8278469431e557b2783bf6e0e02a8c3adc758fae3ab2877422f8f1d"),
+        (CURVED_SOURCE, [M2_P, M2_U], "II", 20, "5251b4011739b4cb2c970774d90febfe591c602fd311bcb40f2bb2bc0ec52108"),
+        (COMMUTATOR_SOURCE, [M2_C], "I", 8, "bf660e2fc5150771d8d89f1b59317ddb265a019a94fe61afc6b116cbd72a18ad"),
+        (COMMUTATOR_SOURCE, [M2_C], "II", 20, "19fc1b82a3282b08d6d47931de71672f5b1c839e04bda3edb962617b180b5d47"),
+    ],
+    ids=["curved-I", "curved-II", "commutator-I", "commutator-II"],
+)
+def test_linearize_output_is_pinned(tmp_path, capsys, source, augs, case, lines, digest):
+    dga = tmp_path / "m2.dga"
+    dga.write_text(source)
+    args = ["linearize", str(dga), "--case", case]
+    for i, text in enumerate(augs):
+        aug = tmp_path / f"{i}.aug"
+        aug.write_text(text)
+        args += ["--aug", str(aug)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# recorded before the word slot loop was shared: values of c4, one file each
+EPS = {"g1": "c4 = g1\n", "g21": "c4 = g2*g1\n", "h1": "c4 = g1^-1\n"}
+
+
+@pytest.mark.parametrize(
+    "case, inputs, eps, expected",
+    [
+        ("I", "c2, c4", ["g1", "g21", "g1"], "g1*c1"),
+        ("I", "g2*c5, c4", ["g1", "g21", "g1"], "g2*g2*g1*c3"),
+        ("I", "g1*c5", ["g21", "g1"], "g1*g2*c2 + g1*g2*g1*g1*c3"),
+        ("I", "(g1+g2)*c2", ["g21", "g1"], "(g1*g1*g1 + g2*g1*g1)*c1"),
+        ("II", "c2*g1*c4", ["h1", "g21", "h1"], "c1"),
+        ("II", "g1*c5*g2*g1*c4*g2", ["h1", "g21", "h1"], "g1*c3*g2"),
+        ("II", "g2*c5*g1", ["g21", "h1"], "g2*c2*g2^-1*g1 + g2*c3*g2^-1*g1"),
+        ("II", "c5 + g1*c2", ["g21", "h1"], "g1*c1 + c2*g2^-1 + c3*g2^-1"),
+    ],
+)
+def test_mu_with_augmentations_is_pinned(toy_file, toy_h_file, tmp_path, capsys, case, inputs, eps, expected):
+    args = ["mu", toy_file if case == "I" else toy_h_file, "--case", case, "--inputs", inputs]
+    for name in eps:
+        aug = tmp_path / f"{name}.aug"
+        aug.write_text(EPS[name])
+        args += ["--eps", str(aug)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected + "\n"

@@ -115,8 +115,7 @@ def full_complex(dga, e0, e1):
             for tw, c in _evaluate_case2(base, components, chain).terms.items():
                 matrix[index[(tw.coeffs[0], tw.gens[0], tw.coeffs[1])]][col] = c
         diff[degree] = matrix
-    label_str = bilinearized_complex(dga, e0, e1, "II").label_str
-    return ChainComplex(base, (a0, a1), "II", basis, diff, label_str)
+    return ChainComplex(base, (a0, a1), "II", basis, diff)
 
 
 class FullHomology:

@@ -308,3 +308,45 @@ def test_repeated_coefficient_images_are_parse_errors(toy):
     with pytest.raises(ParseError) as err:
         parse_coefficient_map("target free over Z2\ng1 = 1\ng2 = 1\ng1 = 0\n", toy.algebra)
     assert (err.value.line, err.value.column) == (4, 1)
+
+
+HUGE = "9" * 5000  # past the 4,300 digits that some interpreters' int() converts
+
+
+@pytest.mark.parametrize(
+    "source, line, column",
+    [
+        (f"ring Q\nalgebra free\ngen a deg 1\ngen x deg 0\nd a = {HUGE}*x\n", 5, 7),
+        (f"ring Z{HUGE}\nalgebra free\n", 1, 6),
+        (f"ring Q\nalgebra free\ngen a deg {HUGE}\n", 3, 11),
+    ],
+    ids=["scalar", "modulus", "degree"],
+)
+def test_huge_integer_literals_parse_or_are_parse_errors(source, line, column):
+    """Interpreters without the digit limit read the number; the others
+    report its position, never a ValueError."""
+    try:
+        parse_dga(source)
+    except ParseError as exc:
+        assert (exc.line, exc.column) == (line, column)
+
+
+@pytest.mark.parametrize("key", ["g" + HUGE, "g3", "g01"])
+def test_group_keys_name_a_group_generator(toy_h, key):
+    """A key past the rank (or spelled with leading zeros, or too long
+    for int()) is an unknown symbol, as in a free algebra."""
+    with pytest.raises(UnknownGeneratorError) as err:
+        parse_coefficient_map(f"target free over Z2\ng1 = 1\ng2 = 1\n{key} = 1\n", toy_h.algebra)
+    assert (err.value.line, err.value.column) == (4, 1)
+
+
+def nested(depth):
+    return f"ring Q\nalgebra free\ngen a deg 1\ngen x deg 0\nd a = {'(' * depth}x{')' * depth}\n"
+
+
+def test_deep_parentheses_are_parse_errors():
+    assert parse_dga(nested(200)) == parse_dga(nested(0))
+    for depth in (201, 3000):
+        with pytest.raises(ParseError, match="over 200 nested parentheses") as err:
+            parse_dga(nested(depth))
+        assert (err.value.line, err.value.column) == (5, 207)

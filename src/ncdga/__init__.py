@@ -29,7 +29,6 @@ from .augmentation import (
     Augmentation,
     enumerate_augmentations,
     ncopy_augmentation,
-    push_to_target,
 )
 from .dga import (
     Generator,

@@ -11,11 +11,12 @@ bimodule itself, and the operation is the adjoint of the arity-n part of
 the differential with respect to the trace pairings.
 
 The augmented operations read the eps-augmented arity-n components of the
-differential (:func:`augmented_components`): every word of arity at least
-n, with n of its letters kept as survivors and every other letter replaced
-by its augmentation value, the block of a letter being the number of
-survivors in front of it.  The sums are finite because the differential
-has words of bounded length.  Each placement is built by slot products: the
+differential, which :func:`augmented_components` in :mod:`.augmentation`
+builds for the operations and the developed DGA alike: every word of
+arity at least n, with n of its letters kept as survivors and every other
+letter replaced by its augmentation value, the block of a letter being
+the number of survivors in front of it.  The sums are finite because the
+differential has words of bounded length.  Each placement is built by slot products: the
 algebra factors between consecutive survivors multiply into n + 1 slots,
 and the placement's terms are the outer product of the slots.  Case I
 evaluates the components slot by slot, case II takes their trace-pairing
@@ -35,116 +36,25 @@ report is exact.  One verify call computes d^2 once for all its arities.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement
-from .augmentation import Augmentation, require_augmentations
+from .augmentation import Augmentation, _check_augmentations, _placements, augmented_components
 from .dga import SemifreeDGA
 from .errors import (
     ArityMismatchError,
     NcdgaError,
     NotHermitianError,
-    TargetMismatchError,
     TupleLengthMismatchError,
 )
 from .report import Report
 from .tensor import (
     DualElement,
     TensorElement,
-    TensorWord,
     adjoint_formula,
     psi_eval,
-    slot_products,
     tensor_product,
 )
-
-
-def _check_tuple(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
-    if len(augs) != length:
-        raise TupleLengthMismatchError(f"need {length} augmentations, got {len(augs)}")
-    for aug in augs:
-        if not aug.into_coefficients or aug.target != dga.algebra:
-            raise TargetMismatchError(
-                "operations need augmentations into the coefficient algebra;"
-                " change coefficients first"
-            )
-        if aug.dga.names != dga.names:
-            raise TargetMismatchError("augmentation belongs to a different DGA")
-
-
-def _check_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
-    """:func:`_check_tuple`, then that every entry is an augmentation of ``dga``."""
-    _check_tuple(dga, augs, length)
-    require_augmentations(dga, augs)
-
-
-def _d_squared(dga: SemifreeDGA) -> dict[str, TensorElement]:
-    return {name: dga.d(dga.d_of_generator(name)) for name in dga.names}
-
-
-def _placements(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
-) -> Iterator[tuple[str, TensorWord, object, list, tuple]]:
-    """Every way to read an arity-n operation off the differential (or off
-    ``images`` of the generators): for each word of d(generator) of arity
-    at least n and each choice of n survivor letters, (generator, word,
-    coefficient, letters, survivors), where ``letters`` is None at each
-    survivor and elsewhere the value of the letter under the augmentation
-    of its block, and ``survivors`` are the survivors' generators.
-    Placements in which a block's augmentation kills a letter are skipped."""
-    for name in dga.names:
-        image = dga.d_of_generator(name) if images is None else images[name]
-        for tw, coeff in image.terms.items():
-            for survivors in itertools.combinations(range(tw.arity), n):
-                letters: list = []
-                kept: list = []
-                block = 0
-                for pos, gen in enumerate(tw.gens):
-                    if block < n and survivors[block] == pos:
-                        letters.append(None)
-                        kept.append(gen)
-                        block += 1
-                        continue
-                    value = augs[block].values.get(gen)
-                    if value is None:
-                        break
-                    letters.append(value)
-                else:
-                    yield name, tw, coeff, letters, tuple(kept)
-
-
-def augmented_components(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
-) -> dict[str, TensorElement]:
-    """The eps-augmented arity-n components of the differential (or of
-    ``images``): for each generator, the sum over its placements (see
-    :func:`_placements`) of the word with every non-survivor letter
-    replaced by its augmentation value.  ``augs`` has n + 1 entries, one
-    per block.  Generators whose component vanishes are left out.
-
-    A placement is built by :func:`slot_products`: the algebra factors
-    between consecutive survivors multiply into n + 1 slots (a placement
-    stops at the first slot that vanishes), and the placement adds the
-    outer product of the slots' terms, with the survivors as generators.
-    Writing a survivor as the sum of u g v over pairs of unit words would
-    give the same element, since the unit words sum to 1:
-    a (sum u g v) b = a g b."""
-    _check_tuple(dga, augs, n + 1)
-    alg = dga.algebra
-    ring = alg.ring
-    components: dict[str, dict] = {}
-    for name, tw, coeff, letters, survivors in _placements(dga, augs, n, images):
-        slots = slot_products(alg, tw, letters)
-        if not slots:
-            continue
-        terms = components.setdefault(name, {})
-        for choice in itertools.product(*(s.items() for s in slots)):
-            c = coeff
-            for _w, v in choice:
-                c = ring.mul(c, v)
-            word = TensorWord(tuple(w for w, _v in choice), survivors)
-            ring.add_term(terms, word, c)
-    return {name: TensorElement(alg, terms) for name, terms in components.items() if terms}
 
 
 def _evaluate_case1(
@@ -306,7 +216,7 @@ def _relation(
     Generators whose relation vanishes are left out."""
     if square is None:
         _check_augmentations(dga, augs, n + 1)
-        square = _d_squared(dga)
+        square = dga.d_squared()
     return augmented_components(dga, augs, n, square)
 
 
@@ -383,7 +293,7 @@ def verify_ainfty(
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     joiner = ", " if case == "I" else " (x) "
     _check_augmentations(dga, objects, len(objects))
-    square = _d_squared(dga)
+    square = dga.d_squared()
     matches: dict = {}
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))

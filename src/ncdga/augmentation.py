@@ -1,21 +1,29 @@
-"""Augmentations of a semifree DGA and the developing construction."""
+"""Augmentations of a semifree DGA and the eps-augmented DGA they define.
+
+An augmentation eps conjugates the differential by phi(c) = c + eps(c):
+d^eps = phi o d o phi^-1.  It is built here, once: :func:`_prepare` checks
+the maps and moves them over their common target, and
+:func:`augmented_components` builds the arity-n part.  The A-infinity
+operations, their relations and the bilinearised complexes read these
+components, and :meth:`Augmentation.develop` sums them into the developed
+DGA."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import AlgebraElement, CoefficientMorphism
-from .dga import LinkGrading, SemifreeDGA, ncopy, substitute
+from .dga import LinkGrading, SemifreeDGA, ncopy
 from .errors import (
     AlgebraMismatchError,
     InvalidAugmentationError,
-    InvalidDGAError,
     NcdgaError,
     TargetMismatchError,
+    TupleLengthMismatchError,
 )
 from .report import Report
-from .tensor import DualElement, TensorElement
+from .tensor import DualElement, TensorElement, TensorWord, slot_products
 
 
 class Augmentation:
@@ -63,6 +71,8 @@ class Augmentation:
 
     def evaluate(self, x: TensorElement) -> AlgebraElement:
         """Value of the induced unital algebra morphism on any element."""
+        # its own slot loop runs on the short source words; per complex-II check, arity-0
+        # components of the moved DGA took 2-10x as long, substitute 2-6x
         if x.algebra != self.dga.algebra:
             raise AlgebraMismatchError("element is over the wrong algebra")
         ring = self.target.ring
@@ -100,30 +110,16 @@ class Augmentation:
         return DualElement(self.dga.algebra, dict(self.values))
 
     def develop(self) -> SemifreeDGA:
-        """Change coefficients to the target and conjugate by m -> m + eps(m);
-        the developed differential has no constant part."""
-        check = self.check()
-        if not check.ok:
-            raise InvalidAugmentationError(str(check))
-        base = (
-            self.dga
-            if self.morphism.is_identity
-            else self.dga.change_coefficients(self.morphism)
-        )
-        images = {
-            name: base.generator(name)
-            + TensorElement.from_algebra(self.value(name))
-            for name in base.names
-        }
-        differential = {
-            name: substitute(base.d_of_generator(name), images) for name in base.names
-        }
-        developed = SemifreeDGA(base.algebra, base.generators, differential, base.modulus)
-        for name in developed.names:
-            constant = developed.d_of_generator(name).constant_part()
-            if not constant.is_zero():
-                raise InvalidDGAError(f"developed differential has constant part at {name}")
-        return developed
+        """The developed DGA: coefficients changed to the target and the
+        differential conjugated by c -> c + eps(c).  Its arity-n part is the
+        eps-augmented arity-n component (:func:`augmented_components`); the
+        arity-0 part eps(d c) vanishes, as ``self`` is an augmentation."""
+        base, (eps,) = _prepare(self.dga, [self])
+        differential = {name: TensorElement.zero(base.algebra) for name in base.names}
+        for n in range(1, base.max_word_arity() + 1):
+            for name, part in augmented_components(base, (eps,) * (n + 1), n).items():
+                differential[name] += part
+        return SemifreeDGA(base.algebra, base.generators, differential, base.modulus)
 
     def __repr__(self):
         listed = ", ".join(f"{n} -> {v}" for n, v in sorted(self.values.items()))
@@ -144,12 +140,105 @@ def require_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation]) -> Non
             raise InvalidAugmentationError(str(check))
 
 
-def push_to_target(aug: Augmentation, developed_base: SemifreeDGA) -> Augmentation:
-    """Reinterpret an augmentation over the target coefficients, for use on
-    a DGA already obtained by the matching change of coefficients."""
-    if developed_base.algebra != aug.target:
-        raise TargetMismatchError("DGA is not over the augmentation target")
-    return Augmentation(developed_base, dict(aug.values))
+def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
+    """Check that every entry is an augmentation of ``dga``, then move
+    everything over the (common) augmentation target."""
+    first = augs[0]
+    for aug in augs[1:]:
+        if aug.target != first.target or aug.morphism.images != first.morphism.images:
+            raise TargetMismatchError("augmentations do not share a coefficient map")
+    require_augmentations(dga, augs)
+    if first.morphism.is_identity:
+        return dga, list(augs)
+    base = dga.change_coefficients(first.morphism)
+    return base, [Augmentation(base, dict(aug.values)) for aug in augs]
+
+
+# -- the eps-augmented components ---------------------------------------
+
+
+def _check_tuple(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
+    if len(augs) != length:
+        raise TupleLengthMismatchError(f"need {length} augmentations, got {len(augs)}")
+    for aug in augs:
+        if not aug.into_coefficients or aug.target != dga.algebra:
+            raise TargetMismatchError(
+                "operations need augmentations into the coefficient algebra;"
+                " change coefficients first"
+            )
+        if aug.dga.names != dga.names:
+            raise TargetMismatchError("augmentation belongs to a different DGA")
+
+
+def _check_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
+    """:func:`_check_tuple`, then that every entry is an augmentation of ``dga``."""
+    _check_tuple(dga, augs, length)
+    require_augmentations(dga, augs)
+
+
+def _placements(
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
+) -> Iterator[tuple[str, TensorWord, object, list, tuple]]:
+    """Every way to read an arity-n operation off the differential (or off
+    ``images`` of the generators): for each word of d(generator) of arity
+    at least n and each choice of n survivor letters, (generator, word,
+    coefficient, letters, survivors), where ``letters`` is None at each
+    survivor and elsewhere the value of the letter under the augmentation
+    of its block, and ``survivors`` are the survivors' generators.
+    Placements in which a block's augmentation kills a letter are skipped."""
+    for name in dga.names:
+        image = dga.d_of_generator(name) if images is None else images[name]
+        for tw, coeff in image.terms.items():
+            for survivors in itertools.combinations(range(tw.arity), n):
+                letters: list = []
+                kept: list = []
+                block = 0
+                for pos, gen in enumerate(tw.gens):
+                    if block < n and survivors[block] == pos:
+                        letters.append(None)
+                        kept.append(gen)
+                        block += 1
+                        continue
+                    value = augs[block].values.get(gen)
+                    if value is None:
+                        break
+                    letters.append(value)
+                else:
+                    yield name, tw, coeff, letters, tuple(kept)
+
+
+def augmented_components(
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
+) -> dict[str, TensorElement]:
+    """The eps-augmented arity-n components of the differential (or of
+    ``images``): for each generator, the sum over its placements (see
+    :func:`_placements`) of the word with every non-survivor letter
+    replaced by its augmentation value.  ``augs`` has n + 1 entries, one
+    per block.  Generators whose component vanishes are left out.
+
+    A placement is built by :func:`slot_products`: the algebra factors
+    between consecutive survivors multiply into n + 1 slots (a placement
+    stops at the first slot that vanishes), and the placement adds the
+    outer product of the slots' terms, with the survivors as generators.
+    Writing a survivor as the sum of u g v over pairs of unit words would
+    give the same element, since the unit words sum to 1:
+    a (sum u g v) b = a g b."""
+    _check_tuple(dga, augs, n + 1)
+    alg = dga.algebra
+    ring = alg.ring
+    components: dict[str, dict] = {}
+    for name, tw, coeff, letters, survivors in _placements(dga, augs, n, images):
+        slots = slot_products(alg, tw, letters)
+        if not slots:
+            continue
+        terms = components.setdefault(name, {})
+        for choice in itertools.product(*(s.items() for s in slots)):
+            c = coeff
+            for _w, v in choice:
+                c = ring.mul(c, v)
+            word = TensorWord(tuple(w for w, _v in choice), survivors)
+            ring.add_term(terms, word, c)
+    return {name: TensorElement(alg, terms) for name, terms in components.items() if terms}
 
 
 def ncopy_augmentation(

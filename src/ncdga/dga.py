@@ -214,10 +214,13 @@ class SemifreeDGA:
                 _splice(out, tw, coeff, p, value)
         return TensorElement(self.algebra, out)
 
+    def d_squared(self) -> dict[str, TensorElement]:
+        """d(d(c)) for every generator c."""
+        return {name: self.d(self.d_of_generator(name)) for name in self.names}
+
     def check_d_squared(self) -> Report:
         report = Report("d^2 = 0")
-        for name in self.names:
-            residual = self.d(self.d_of_generator(name))
+        for name, residual in self.d_squared().items():
             ok = residual.is_zero()
             report.record(ok, "" if ok else f"d^2({name}) = {residual}")
         return report
@@ -228,8 +231,8 @@ class SemifreeDGA:
         That sum is the arity-n part of d^2, since the Leibniz d splices
         every d_l into every letter of every word of d_k."""
         report = Report(f"component relation at arity {n}")
-        for name in self.names:
-            residual = self.d(self.d_of_generator(name)).component(n)
+        for name, square in self.d_squared().items():
+            residual = square.component(n)
             ok = residual.is_zero()
             report.record(ok, "" if ok else f"relation fails at {name}: {residual}")
         return report

@@ -171,6 +171,17 @@ def _parse_rational(stream: _Stream) -> Fraction:
     return Fraction(numerator)
 
 
+# A generator over an algebra is the sum of u g v over all pairs of the
+# basis words u, v whose sum is the unit, so a declaration with more of
+# them is refused before any word is built.
+_MAX_UNIT_WORDS = 100
+
+
+def _bound_unit_words(count: int, what: str) -> None:
+    if count > _MAX_UNIT_WORDS:
+        raise NcdgaError(f"unit of {what} is a sum of {count} basis words, over {_MAX_UNIT_WORDS}")
+
+
 def _parse_algebra_decl(stream: _Stream, ring: Ring) -> CoefficientAlgebra:
     tok = stream.expect("ident", "an algebra kind")
     if tok.text == "free":
@@ -186,6 +197,7 @@ def _parse_algebra_decl(stream: _Stream, ring: Ring) -> CoefficientAlgebra:
         return FreeAlgebra(tuple(names), ring)
     if tok.text == "matrix":
         n = _parse_int(stream)
+        _bound_unit_words(n, f"matrix {n}")
         if (nxt := stream.peek()) is not None and nxt.kind == "ident" and nxt.text == "hermitian":
             stream.next()
         return MatrixAlgebra(n, ring)
@@ -197,7 +209,9 @@ def _parse_algebra_decl(stream: _Stream, ring: Ring) -> CoefficientAlgebra:
         return GroupRing(rank, ring)
     if tok.text == "split":
         n = _parse_int(stream)
-        return SplitAlgebra(_parse_algebra_decl(stream, ring), n)
+        base = _parse_algebra_decl(stream, ring)
+        _bound_unit_words(n * len(base.unit_words()), f"split {n}")
+        return SplitAlgebra(base, n)
     raise ParseError(f"unknown algebra kind {tok.text!r}", tok.line, tok.column)
 
 
@@ -445,12 +459,8 @@ def parse_dga(text: str) -> SemifreeDGA:
         raise ParseError("file must declare a ring and an algebra")
     try:
         return SemifreeDGA(algebra, generators, differential, modulus)
-    except DegreeMismatchError as exc:
-        raise DegreeMismatchError(
-            str(exc), line=diff_lines.get(exc.generator), generator=exc.generator
-        ) from None
-    except ActionViolationError as exc:
-        raise ActionViolationError(
+    except (DegreeMismatchError, ActionViolationError) as exc:
+        raise type(exc)(
             str(exc), line=diff_lines.get(exc.generator), generator=exc.generator
         ) from None
 
@@ -468,7 +478,6 @@ def _parse_assignments(
     target: CoefficientAlgebra | None = None
     coeff_images: dict = {}
     values: dict[str, TensorElement] = {}
-    value_lines: dict[str, int] = {}
 
     stream.skip_separators()
     while stream.peek() is not None:
@@ -485,7 +494,12 @@ def _parse_assignments(
             except NcdgaError as exc:
                 raise ParseError(str(exc), decl_tokens[-1].line, decl_tokens[-1].column) from None
             sub = _Stream(decl_tokens[:-2] + [Token("newline", "", tok.line, 0)])
-            target = _parse_algebra_decl(sub, ring)
+            try:
+                target = _parse_algebra_decl(sub, ring)
+            except ParseError:
+                raise
+            except NcdgaError as exc:
+                raise ParseError(str(exc), tok.line, tok.column) from None
         elif tok.text == "coeff" or coeff_only:
             name = stream.expect("ident", "an algebra symbol") if tok.text == "coeff" else tok
             key = name.text
@@ -521,10 +535,9 @@ def _parse_assignments(
                 stream, target if target is not None else source, set()
             ).parse()
             values[name.text] = expr
-            value_lines[name.text] = name.line
         stream.end_statement()
         stream.skip_separators()
-    return target, coeff_images, values, value_lines
+    return target, coeff_images, values
 
 
 def _morphism_from_images(source, target, coeff_images) -> CoefficientMorphism:
@@ -577,9 +590,7 @@ def _morphism_from_images(source, target, coeff_images) -> CoefficientMorphism:
 
 
 def parse_augmentation(text: str, dga: SemifreeDGA) -> Augmentation:
-    target, coeff_images, values, _lines = _parse_assignments(
-        text, dga.algebra, set(dga.names)
-    )
+    target, coeff_images, values = _parse_assignments(text, dga.algebra, set(dga.names))
     if target is None or target == dga.algebra:
         if coeff_images:
             raise ParseError("coeff lines need a distinct target algebra")
@@ -594,9 +605,7 @@ def parse_augmentation(text: str, dga: SemifreeDGA) -> Augmentation:
 
 def parse_coefficient_map(text: str, source: CoefficientAlgebra) -> CoefficientMorphism:
     """A map file assigns images to the source algebra's symbols."""
-    target, coeff_images, _values, _lines = _parse_assignments(
-        text, source, set(), coeff_only=True
-    )
+    target, coeff_images, _values = _parse_assignments(text, source, set(), coeff_only=True)
     if target is None:
         raise ParseError("coefficient map file needs a target declaration")
     return _morphism_from_images(source, target, coeff_images)

@@ -26,13 +26,12 @@ eliminating the whole complex, not merely isomorphic: see
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .ainfinity import _evaluate, augmented_components
-# re-exported: callers reach the operations through this module too
+from .ainfinity import _evaluate
+# re-exported: the benchmark self-test reads ncdga.homology.mu_eps_case2, so
+# these stay until a change to the benchmark moves that test
 from .ainfinity import mu_eps_case1, mu_eps_case2  # noqa: F401
 from .algebra import AlgebraElement
-from .augmentation import Augmentation, push_to_target, require_augmentations
+from .augmentation import Augmentation, _prepare, augmented_components
 from .dga import SemifreeDGA
 from .errors import (
     InfiniteDimensionalCoefficientsError,
@@ -40,7 +39,6 @@ from .errors import (
     NotAComplexError,
     NotHermitianError,
     NotMatrixTargetError,
-    TargetMismatchError,
 )
 from .report import Report
 from .rings import Ring
@@ -290,20 +288,6 @@ def _coordinates(case: str, element) -> list:
     if case == "I":
         return [((w, g), c) for g, b in element.terms.items() for w, c in b.terms.items()]
     return [((tw.coeffs[0], tw.gens[0], tw.coeffs[1]), c) for tw, c in element.terms.items()]
-
-
-def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
-    """Check that every entry is an augmentation of ``dga``, then move
-    everything over the (common) augmentation target."""
-    first = augs[0]
-    for aug in augs[1:]:
-        if aug.target != first.target or aug.morphism.images != first.morphism.images:
-            raise TargetMismatchError("augmentations do not share a coefficient map")
-    require_augmentations(dga, augs)
-    if first.morphism.is_identity:
-        return dga, list(augs)
-    base = dga.change_coefficients(first.morphism)
-    return base, [push_to_target(aug, base) for aug in augs]
 
 
 def bilinearized_complex(

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ncdga import cli
+from ncdga import builtin_source, cli, print_dga
 from ncdga.cli import build_parser, main
 
 from conftest import XY_SOURCE
@@ -491,3 +491,32 @@ def test_mu_with_augmentations_is_pinned(toy_file, toy_h_file, tmp_path, capsys,
         args += ["--eps", str(aug)]
     assert main(args) == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+# recorded before develop read the component builder: (DGA, augmentation,
+# stdout lines, sha256 of stdout); "q-corpus" is the shifted q-style corpus
+# DGA, printed, with the augmentation its offset induces
+M3_Z2 = "target matrix 3 over Z2\nx = [[1,1,0],[0,1,1],[0,0,1]]\ny = [[1,1,1],[0,1,1],[0,0,1]]\n"
+DEVELOPED = [
+    (CURVED_SOURCE, M2_P, 7, "3f2f37eb5d0d2835bd0eab167b917cf00d59e3463eaad3909fd4577a800f6a37"),
+    (XY_SOURCE, M3_Z2, 7, "21fd48a1e59937dfccbdb4f4b1a1481eaf527e3d33b5be4596f40265b687c1f6"),
+    ("q-corpus", "u4 = -1\n", 16, "ec54ca87a72c0e4e6620c1233c38dd3e8e8e30768738229d2582dfbd96f0896f"),
+    (builtin_source("toy"), "", 11, "5be86585a7b6fb7a16122ec4bb3fd893e4ca4926d66707461ad5e43d1f07c66e"),
+]
+
+
+def test_develop_output_is_pinned(tmp_path, capsys, q_corpus_augmented, curved_files):
+    dga, aug = tmp_path / "d.dga", tmp_path / "e.aug"
+    for source, text, lines, digest in DEVELOPED:
+        dga.write_text(print_dga(q_corpus_augmented[0]) if source == "q-corpus" else source)
+        aug.write_text(text)
+        assert main(["develop", str(dga), "--aug", str(aug)]) == 0
+        captured = capsys.readouterr()
+        assert (len(captured.out.splitlines()), captured.err) == (lines, "")
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    curved, _one, two = curved_files
+    assert main(["develop", curved, "--aug", two]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: augmentation 1 of 1: FAILED (1 of 5 checks)")
+    assert "eps(d a) = 1" in captured.err

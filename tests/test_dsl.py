@@ -350,3 +350,25 @@ def test_deep_parentheses_are_parse_errors():
         with pytest.raises(ParseError, match="over 200 nested parentheses") as err:
             parse_dga(nested(depth))
         assert (err.value.line, err.value.column) == (5, 207)
+
+
+@pytest.mark.parametrize(
+    "decl", ["algebra matrix 100000", "algebra split 100000 matrix 2", "algebra split 1000000000 matrix 2"]
+)
+def test_huge_algebra_declarations_are_parse_errors(decl):
+    """A unit of more than 100 basis words is refused at the declaration,
+    before the words of a generator are built."""
+    with pytest.raises(ParseError, match="basis words, over 100") as err:
+        parse_dga(f"ring Q\n{decl}\ngen a deg 1\ngen x deg 0\nd a = x\n")
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+def test_huge_target_declarations_are_parse_errors(xy_dga):
+    with pytest.raises(ParseError, match="basis words, over 100") as err:
+        parse_augmentation("x = 1\ntarget matrix 100000 over Q\n", xy_dga)
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+def test_matrix_100_parses():
+    dga = parse_dga("ring Q\nalgebra matrix 100\ngen a deg 1\ngen x deg 0\nd a = x\n")
+    assert dga.algebra == MatrixAlgebra(100, dga.algebra.ring)

@@ -405,7 +405,7 @@ def test_curved_trivial_tuple_separates_the_two_relations():
     curved = parse_dga(CURVED_SQUARE_ZERO_SOURCE)
     assert curved.check_d_squared().ok
     triv = (Augmentation.trivial(curved),) * 2
-    assert _relation(curved, triv, 1, ainfinity._d_squared(curved)) == {}
+    assert _relation(curved, triv, 1, curved.d_squared()) == {}
     assert composed_relation(curved, triv, 1) == {
         "b": TensorElement.generator(curved.algebra, "x")
     }

@@ -108,6 +108,13 @@ class CoefficientAlgebra:
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"
 
+    # each constructor sets _key, the values that determine the algebra
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._key == other._key)
+
+    def __hash__(self):
+        return hash((self.kind, *self._key))
+
 
 class MatrixAlgebra(CoefficientAlgebra):
     kind = "matrix"
@@ -118,6 +125,7 @@ class MatrixAlgebra(CoefficientAlgebra):
             raise NcdgaError("matrix size must be positive")
         self.n = n
         self.ring = ring
+        self._key = (n, ring)
 
     def unit_words(self):
         return [(i, i) for i in range(1, self.n + 1)]
@@ -157,12 +165,6 @@ class MatrixAlgebra(CoefficientAlgebra):
     def declaration(self):
         return f"matrix {self.n}"
 
-    def __eq__(self, other):
-        return isinstance(other, MatrixAlgebra) and (self.n, self.ring) == (other.n, other.ring)
-
-    def __hash__(self):
-        return hash(("matrix", self.n, self.ring))
-
 
 def _reduce_group_word(letters) -> tuple:
     out: list[int] = []
@@ -185,6 +187,7 @@ class GroupRing(CoefficientAlgebra):
             raise NcdgaError("group rank must be nonnegative")
         self.rank = rank
         self.ring = ring
+        self._key = (rank, ring)
 
     def unit_words(self):
         return [()]
@@ -230,12 +233,6 @@ class GroupRing(CoefficientAlgebra):
     def declaration(self):
         return f"group free {self.rank}"
 
-    def __eq__(self, other):
-        return isinstance(other, GroupRing) and (self.rank, self.ring) == (other.rank, other.ring)
-
-    def __hash__(self):
-        return hash(("group", self.rank, self.ring))
-
 
 class FreeAlgebra(CoefficientAlgebra):
     """Free associative algebra on named generators.
@@ -253,6 +250,7 @@ class FreeAlgebra(CoefficientAlgebra):
         if len(set(self.names)) != len(self.names):
             raise NcdgaError("duplicate free-algebra generator names")
         self.ring = ring
+        self._key = (self.names, ring)
 
     @property
     def hermitian(self):
@@ -296,15 +294,6 @@ class FreeAlgebra(CoefficientAlgebra):
     def declaration(self):
         return "free" + "".join(" " + n for n in self.names)
 
-    def __eq__(self, other):
-        return isinstance(other, FreeAlgebra) and (self.names, self.ring) == (
-            other.names,
-            other.ring,
-        )
-
-    def __hash__(self):
-        return hash(("free", self.names, self.ring))
-
 
 class SplitAlgebra(CoefficientAlgebra):
     """base x (R e_1 + ... + R e_n) with e_i e_j = delta_ij e_i, sum e_i = 1."""
@@ -320,6 +309,7 @@ class SplitAlgebra(CoefficientAlgebra):
         self.copies = n
         self.ring = base.ring
         self.hermitian = base.hermitian
+        self._key = (base, n)
 
     def unit_words(self):
         return [(i, w) for i in range(1, self.copies + 1) for w in self.base.unit_words()]
@@ -370,18 +360,26 @@ class SplitAlgebra(CoefficientAlgebra):
     def declaration(self):
         return f"split {self.copies} {self.base.declaration()}"
 
-    def __eq__(self, other):
-        return isinstance(other, SplitAlgebra) and (self.base, self.copies) == (
-            other.base,
-            other.copies,
-        )
 
-    def __hash__(self):
-        return hash(("split", self.base, self.copies))
+def signed_sum(parts: Iterable[str]) -> str:
+    """Join printed terms into ``a + b - c``; a negative term starts with
+    '-'.  No terms print as 0."""
+    out = ""
+    for part in parts:
+        if not out:
+            out = part
+        elif part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out or "0"
 
 
-class AlgebraElement:
-    """Finite linear combination of basis words, zero coefficients dropped."""
+class Combination:
+    """Finite linear combination of basis keys over an algebra's scalar
+    ring, zero coefficients dropped.  Subclasses give the product, the
+    order of the keys, ``sort_key(key)``, and ``term_str(key, magnitude)``,
+    one term printed without its sign."""
 
     __slots__ = ("algebra", "terms")
 
@@ -389,7 +387,7 @@ class AlgebraElement:
         self.algebra = algebra
         self.terms = terms
 
-    def _check(self, other: "AlgebraElement"):
+    def _check(self, other: "Combination"):
         if self.algebra != other.algebra:
             raise AlgebraMismatchError(f"{self.algebra} vs {other.algebra}")
 
@@ -397,19 +395,20 @@ class AlgebraElement:
         return not self.terms
 
     def sorted_terms(self):
-        key = self.algebra.word_key
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+        sort_key = self.sort_key
+        return sorted(self.terms.items(), key=lambda item: sort_key(item[0]))
 
     def __add__(self, other):
         self._check(other)
+        add_term = self.algebra.ring.add_term
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            self.algebra.ring.add_term(out, w, c)
-        return AlgebraElement(self.algebra, out)
+        for key, c in other.terms.items():
+            add_term(out, key, c)
+        return type(self)(self.algebra, out)
 
     def __neg__(self):
-        ring = self.algebra.ring
-        return AlgebraElement(self.algebra, {w: ring.neg(c) for w, c in self.terms.items()})
+        neg = self.algebra.ring.neg
+        return type(self)(self.algebra, {key: neg(c) for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -418,8 +417,44 @@ class AlgebraElement:
         ring = self.algebra.ring
         s = ring.coerce(scalar)
         if ring.is_zero(s):
-            return self.algebra.zero()
-        return AlgebraElement(self.algebra, {w: ring.mul(s, c) for w, c in self.terms.items()})
+            return type(self)(self.algebra, {})
+        return type(self)(self.algebra, {key: ring.mul(s, c) for key, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.algebra == other.algebra
+            and self.terms == other.terms
+        )
+
+    def __str__(self):
+        split_sign = self.algebra.ring.split_sign
+        parts = []
+        for key, c in self.sorted_terms():
+            negative, magnitude = split_sign(c)
+            parts.append(("-" if negative else "") + self.term_str(key, magnitude))
+        return signed_sum(parts)
+
+    def __repr__(self):
+        return f"<{self}>"
+
+
+class AlgebraElement(Combination):
+    """Finite linear combination of basis words, zero coefficients dropped."""
+
+    __slots__ = ()
+
+    def sort_key(self, w):
+        return self.algebra.word_key(w)
+
+    def term_str(self, w, magnitude) -> str:
+        ring = self.algebra.ring
+        ws = self.algebra.word_str(w)
+        if magnitude == ring.one:
+            return ws
+        if ws == "1":
+            return ring.scalar_str(magnitude)
+        return f"{ring.scalar_str(magnitude)}*{ws}"
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -446,36 +481,6 @@ class AlgebraElement:
     def reverse(self) -> "AlgebraElement":
         alg = self.algebra
         return AlgebraElement(alg, {alg.reverse_word(w): c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        ring, alg = self.algebra.ring, self.algebra
-        out = ""
-        for w, c in self.sorted_terms():
-            negative, magnitude = ring.split_sign(c)
-            ws = alg.word_str(w)
-            if magnitude == ring.one:
-                body = ws
-            elif ws == "1":
-                body = ring.scalar_str(magnitude)
-            else:
-                body = f"{ring.scalar_str(magnitude)}*{ws}"
-            if not out:
-                out = ("-" if negative else "") + body
-            else:
-                out += (" - " if negative else " + ") + body
-        return out
-
-    def __repr__(self):
-        return f"<{self}>"
 
 
 def try_word_inverse(algebra: CoefficientAlgebra, word, coeff) -> AlgebraElement | None:

@@ -69,8 +69,8 @@ def _aug_tuple(dga, paths, size: int, message: str):
     return augs
 
 
-def _emit_dga(dga, out: str | None):
-    text = print_dga(dga)
+def _emit(text: str, out: str | None):
+    """Write text to the file named by -o, or to stdout without one."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -109,12 +109,7 @@ def _parse_dual_input(dga, text: str, subs) -> DualElement:
 
 
 def _cmd_example(args) -> int:
-    text = builtin_source(args.name)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(builtin_source(args.name), args.output)
     return 0
 
 
@@ -142,7 +137,7 @@ def _cmd_aug_check(args) -> int:
 def _cmd_develop(args) -> int:
     dga = _load_dga(args.file)
     (aug,) = _load_augs(dga, [args.aug])
-    _emit_dga(aug.develop(), args.output)
+    _emit(print_dga(aug.develop()), args.output)
     return 0
 
 
@@ -242,35 +237,35 @@ def _cmd_product(args) -> int:
 def _cmd_ncopy(args) -> int:
     dga = _load_dga(args.file)
     if args.split:
-        _emit_dga(ncopy_via_split(dga, args.n), args.output)
+        _emit(print_dga(ncopy_via_split(dga, args.n)), args.output)
     else:
         copied, _grading = ncopy(dga, args.n)
-        _emit_dga(copied, args.output)
+        _emit(print_dga(copied), args.output)
     return 0
 
 
 def _cmd_mirror(args) -> int:
     dga = _load_dga(args.file)
-    _emit_dga(dga.mirror(), args.output)
+    _emit(print_dga(dga.mirror()), args.output)
     return 0
 
 
 def _cmd_coeffchange(args) -> int:
     dga = _load_dga(args.file)
     morphism = parse_coefficient_map(_read(args.map), dga.algebra)
-    _emit_dga(dga.change_coefficients(morphism), args.output)
+    _emit(print_dga(dga.change_coefficients(morphism)), args.output)
     return 0
 
 
 def _cmd_subdga(args) -> int:
     dga = _load_dga(args.file)
     if args.action is not None:
-        _emit_dga(dga.action_subdga(args.action), args.output)
+        _emit(print_dga(dga.action_subdga(args.action)), args.output)
         return 0
     grading = dga.link_grading()
     if grading is None:
         raise NcdgaError("DGA has no link labels")
-    _emit_dga(restrict_to_components(dga, grading, args.components), args.output)
+    _emit(print_dga(restrict_to_components(dga, grading, args.components)), args.output)
     return 0
 
 

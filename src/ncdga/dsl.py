@@ -171,6 +171,18 @@ def _parse_rational(stream: _Stream) -> Fraction:
     return Fraction(numerator)
 
 
+def _parse_inverse(stream: _Stream) -> bool:
+    """Read an optional '^-1' suffix; True when there was one."""
+    if (tok := stream.peek()) is None or tok.kind != "^":
+        return False
+    stream.next()
+    stream.expect("-", "'^-1'")
+    one = stream.expect("number", "'^-1'")
+    if one.text != "1":
+        raise ParseError("only '^-1' is supported", one.line, one.column)
+    return True
+
+
 # A generator over an algebra is the sum of u g v over all pairs of the
 # basis words u, v whose sum is the unit, so a declaration with more of
 # them is refused before any word is built.
@@ -213,6 +225,17 @@ def _parse_algebra_decl(stream: _Stream, ring: Ring) -> CoefficientAlgebra:
         _bound_unit_words(n * len(base.unit_words()), f"split {n}")
         return SplitAlgebra(base, n)
     raise ParseError(f"unknown algebra kind {tok.text!r}", tok.line, tok.column)
+
+
+def _read_algebra_decl(stream: _Stream, ring: Ring, keyword: Token) -> CoefficientAlgebra:
+    """An algebra declaration; errors that carry no position of their own
+    (a bound, a size) are located at the declaring keyword."""
+    try:
+        return _parse_algebra_decl(stream, ring)
+    except ParseError:
+        raise
+    except NcdgaError as exc:
+        raise ParseError(str(exc), keyword.line, keyword.column) from None
 
 
 # each level of parentheses takes three parser frames of the interpreter's stack
@@ -280,12 +303,7 @@ class _ExpressionParser:
         if tok.kind == "ident":
             stream.next()
             value = self._resolve(tok)
-            if (nxt := stream.peek()) is not None and nxt.kind == "^":
-                stream.next()
-                stream.expect("-", "'^-1'")
-                one = stream.expect("number", "'^-1'")
-                if one.text != "1":
-                    raise ParseError("only '^-1' is supported", one.line, one.column)
+            if _parse_inverse(stream):
                 value = self._invert(value, tok)
             return value
         raise ParseError(f"unexpected {tok.text!r} in expression", tok.line, tok.column)
@@ -397,10 +415,7 @@ def parse_dga(text: str) -> SemifreeDGA:
         elif tok.text == "algebra":
             if ring is None:
                 raise ParseError("declare the ring before the algebra", tok.line, tok.column)
-            try:
-                algebra = _parse_algebra_decl(stream, ring)
-            except NcdgaError as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
+            algebra = _read_algebra_decl(stream, ring, tok)
         elif tok.text == "grading":
             stream.expect_word("mod")
             modulus = _parse_int(stream)
@@ -494,22 +509,14 @@ def _parse_assignments(
             except NcdgaError as exc:
                 raise ParseError(str(exc), decl_tokens[-1].line, decl_tokens[-1].column) from None
             sub = _Stream(decl_tokens[:-2] + [Token("newline", "", tok.line, 0)])
-            try:
-                target = _parse_algebra_decl(sub, ring)
-            except ParseError:
-                raise
-            except NcdgaError as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
+            target = _read_algebra_decl(sub, ring, tok)
         elif tok.text == "coeff" or coeff_only:
             name = stream.expect("ident", "an algebra symbol") if tok.text == "coeff" else tok
             key = name.text
             nxt = stream.peek()
             if key == "E" and isinstance(source, MatrixAlgebra) and nxt and nxt.kind == "(":
                 key = source.word_str(_ExpressionParser(stream, source, set())._matrix_unit())
-            if (nxt := stream.peek()) is not None and nxt.kind == "^":
-                stream.next()
-                stream.expect("-")
-                stream.expect("number")
+            if _parse_inverse(stream):
                 key += "^-1"
             if key in coeff_images:
                 raise ParseError(f"second image for {key!r}", name.line, name.column)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import AlgebraElement, CoefficientAlgebra
+from .algebra import AlgebraElement, CoefficientAlgebra, Combination, signed_sum
 from .errors import (
     AlgebraMismatchError,
     ArityMismatchError,
@@ -37,22 +37,14 @@ class TensorWord(NamedTuple):
         return len(self.gens)
 
 
-def word_key(algebra: CoefficientAlgebra, tw: TensorWord):
-    return (
-        tw.arity,
-        tw.gens,
-        tuple(algebra.word_key(w) for w in tw.coeffs),
-    )
-
-
-class TensorElement:
+class TensorElement(Combination):
     """Sparse element of the tensor algebra over a coefficient algebra."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
 
-    def __init__(self, algebra: CoefficientAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
+    # the benchmark tracer patches these two on this class's own __dict__
+    __add__ = Combination.__add__
+    __str__ = Combination.__str__
 
     # -- constructors -------------------------------------------------
 
@@ -82,9 +74,6 @@ class TensorElement:
 
     # -- structure ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def arities(self) -> set[int]:
         return {tw.arity for tw in self.terms}
 
@@ -109,35 +98,22 @@ class TensorElement:
             (tw.coeffs[0], c) for tw, c in self.terms.items() if tw.arity == 0
         )
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: word_key(self.algebra, item[0]))
+    def sort_key(self, tw: TensorWord):
+        word_key = self.algebra.word_key
+        return (tw.arity, tw.gens, tuple(word_key(w) for w in tw.coeffs))
+
+    def term_str(self, tw: TensorWord, magnitude) -> str:
+        word_str, ring = self.algebra.word_str, self.algebra.ring
+        factors = [word_str(tw.coeffs[0])]
+        for gen, w in zip(tw.gens, tw.coeffs[1:]):
+            factors += [gen, word_str(w)]
+        # unit slots are not written; the empty word prints as 1
+        body = "*".join(f for f in factors if f != "1") or "1"
+        if magnitude != ring.one:
+            body = f"{ring.scalar_str(magnitude)}*{body}"
+        return body
 
     # -- arithmetic ----------------------------------------------------
-
-    def _check(self, other: "TensorElement"):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError(f"{self.algebra} vs {other.algebra}")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for tw, c in other.terms.items():
-            self.algebra.ring.add_term(out, tw, c)
-        return TensorElement(self.algebra, out)
-
-    def __neg__(self):
-        ring = self.algebra.ring
-        return TensorElement(self.algebra, {tw: ring.neg(c) for tw, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar) -> "TensorElement":
-        ring = self.algebra.ring
-        s = ring.coerce(scalar)
-        if ring.is_zero(s):
-            return TensorElement.zero(self.algebra)
-        return TensorElement(self.algebra, {tw: ring.mul(s, c) for tw, c in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -161,43 +137,6 @@ class TensorElement:
                     )
                     ring.add_term(out, tw, ring.mul(c1, c2))
         return TensorElement(alg, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        ring, alg = self.algebra.ring, self.algebra
-        out = ""
-        for tw, c in self.sorted_terms():
-            factors = []
-            for i, gen in enumerate(tw.gens):
-                slot = alg.word_str(tw.coeffs[i])
-                if slot != "1":
-                    factors.append(slot)
-                factors.append(gen)
-            last = alg.word_str(tw.coeffs[-1])
-            if last != "1":
-                factors.append(last)
-            if not factors:
-                factors.append("1")
-            negative, magnitude = ring.split_sign(c)
-            body = "*".join(factors)
-            if magnitude != ring.one:
-                body = f"{ring.scalar_str(magnitude)}*{body}"
-            if not out:
-                out = ("-" if negative else "") + body
-            else:
-                out += (" - " if negative else " + ") + body
-        return out
-
-    def __repr__(self):
-        return f"<{self}>"
 
 
 def tensor_product(factors: Sequence, algebra: CoefficientAlgebra | None = None) -> TensorElement:
@@ -267,29 +206,21 @@ class DualElement:
         return psi_eval([self], element)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         unit = self.algebra.unit()
         # Z/p values print in [0, p), so only characteristic 0 writes -c
         minus_unit = -unit if self.algebra.ring.characteristic == 0 else None
-        out = ""
+        parts = []
         for g in sorted(self.terms):
             b = self.terms[g]
             if b == unit:
-                part = g
+                parts.append(g)
             elif b == minus_unit:
-                part = f"-{g}"
+                parts.append(f"-{g}")
             elif len(b.terms) > 1:
-                part = f"({b})*{g}"
+                parts.append(f"({b})*{g}")
             else:
-                part = f"{b}*{g}"
-            if not out:
-                out = part
-            elif part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+                parts.append(f"{b}*{g}")
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"<{self}>"

@@ -1,9 +1,13 @@
 """End-to-end driver tests: exit codes, outputs, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdga import builtin_source, cli, print_dga
 from ncdga.cli import build_parser, main
@@ -520,3 +524,54 @@ def test_develop_output_is_pinned(tmp_path, capsys, q_corpus_augmented, curved_f
     assert captured.out == ""
     assert captured.err.startswith("error: augmentation 1 of 1: FAILED (1 of 5 checks)")
     assert "eps(d a) = 1" in captured.err
+
+
+# DGAs with augmentations of theirs, edited by inserting or replacing a few
+# lines with token soup, so that runs also reach the stages after parsing
+_PAIRS = [
+    (XY_SOURCE, AUG_P),
+    (XY_SOURCE, AUG_ID),
+    (CURVED_SOURCE, AUG_ONE),
+    (CURVED_SOURCE, AUG_TWO),
+    (CURVED_SOURCE, "target matrix 2 over Q\nx = [[1,1],[0,1]]\ny = [[1,-1],[0,1]]\n"),
+    (builtin_source("toy-hermitian"), ""),
+    (builtin_source("toy-hermitian"), "target matrix 2 over Z2\ncoeff g1 = E12 + E21\ncoeff g2 = E11 + E22\n"),
+    ("ring Q\nalgebra matrix 2\ngen a deg 1\ngen x deg 0\nd a = E12*x - x*E12\n", ""),
+    ("ring Z3\nalgebra group free 1\ngen a deg 1\ngen x deg 0\nd a = 2*x*g1^-1 - 1\n", "x = g1\n"),
+]
+_TOKENS = [
+    "ring", "algebra", "gen", "d", "deg", "grading", "mod", "target", "over", "coeff",
+    "free", "matrix", "group", "split", "hermitian", "action", "link", "Q", "Z2", "Z4",
+    "a", "x", "y", "c4", "g1", "g2", "E12", "E", "e1", "0", "1", "2", "-1", "1/2", "1/0",
+    "*", "+", "-", "/", "^", "(", ")", "[", "]", ",", "=", ";", "#", "\t", "\u00e9",
+]
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 9), st.booleans(), st.lists(st.sampled_from(_TOKENS), max_size=8).map(" ".join)
+    ),
+    max_size=2,
+)
+
+
+def _edited(text, edits):
+    lines = text.splitlines()
+    for at, replace, line in edits:
+        lines[at : at + replace] = [line]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PAIRS), _EDITS, _EDITS, st.sampled_from(["I", "II"]))
+def test_any_input_exits_0_1_or_2(tmp_path_factory, pair, dga_edits, aug_edits, case):
+    """Token soup never raises out of the CLI: every run exits 0, 1 or 2."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    dga, aug = folder / "f.dga", folder / "f.aug"
+    dga.write_text(_edited(pair[0], dga_edits))
+    aug.write_text(_edited(pair[1], aug_edits))
+    for argv in [
+        ["check", str(dga)],
+        ["homology", str(dga), "--aug", str(aug), "--case", "II"],
+        ["ainfty-verify", str(dga), "--case", case, "--max-arity", "2", "--eps", str(aug)],
+    ]:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

@@ -369,6 +369,31 @@ def test_huge_target_declarations_are_parse_errors(xy_dga):
     assert (err.value.line, err.value.column) == (2, 1)
 
 
+def test_parse_errors_inside_an_algebra_declaration_keep_their_position(xy_dga):
+    """The bad token is located once, not again at the declaring keyword."""
+    with pytest.raises(ParseError, match="expected an integer, found 'x'") as err:
+        parse_dga("ring Q\nalgebra matrix x\ngen a deg 1\n")
+    assert (err.value.line, err.value.column) == (2, 16)
+    assert str(err.value).count("(line") == 1
+    with pytest.raises(ParseError, match="expected an integer, found 'x'") as err:
+        parse_augmentation("target matrix x over Q\nx = 1\n", xy_dga)
+    assert (err.value.line, err.value.column) == (1, 15)
+    assert str(err.value).count("(line") == 1
+
+
+@pytest.mark.parametrize("suffix", ["^-7", "^-2", "^-01"])
+def test_inverse_keys_must_read_minus_one(toy_h, suffix):
+    """A coefficient key takes the '^-1' of an expression and nothing else."""
+    images = "g1 = E12 + E21\ng1{} = E12 + E21\ng2 = E11 + E22\n"
+    with pytest.raises(ParseError, match=r"only '\^-1' is supported") as err:
+        parse_coefficient_map("target matrix 2 over Z2\n" + images.format(suffix), toy_h.algebra)
+    assert (err.value.line, err.value.column) == (3, 5)
+    coeffs = "".join("coeff " + line + "\n" for line in images.format(suffix).splitlines())
+    with pytest.raises(ParseError, match=r"only '\^-1' is supported") as err:
+        parse_augmentation("target matrix 2 over Z2\n" + coeffs, toy_h)
+    assert (err.value.line, err.value.column) == (3, 11)
+
+
 def test_matrix_100_parses():
     dga = parse_dga("ring Q\nalgebra matrix 100\ngen a deg 1\ngen x deg 0\nd a = x\n")
     assert dga.algebra == MatrixAlgebra(100, dga.algebra.ring)

@@ -16,6 +16,8 @@ from ncdga import (
     adjoint_formula,
     apply_block,
     iota_pair,
+    parse_dga,
+    parse_element,
     psi_eval,
     tensor_product,
 )
@@ -226,3 +228,20 @@ def test_apply_block(group):
     image = apply_block(f, 1, 0, x)
     assert image == tensor_product([gen(group, "c1"), gen(group, "c3"), coeff(group, (1,))])
     assert apply_block(f, 0, 1, x).is_zero()  # c1 has no image
+
+
+def test_printing_is_pinned():
+    """Exact strings for algebra, tensor and dual elements: the order of the
+    terms, their signs, and the unit word (2 in the algebra, 2*1 as a tensor)."""
+    mixed = parse_dga(
+        "ring Q\nalgebra free g1\ngen a deg 1\ngen x deg 0\ngen y deg 0\n"
+        "d a = x*y - 2 + 1/2*g1*x*g1 - g1\n"
+    )
+    assert str(mixed.d_of_generator("a")) == "-2*1 - g1 + 1/2*g1*x*g1 + x*y"
+    assert str(parse_element("3*g1 - 2", mixed).constant_part()) == "-2 + 3*g1"
+    z3 = parse_dga("ring Z3\nalgebra group free 1\ngen a deg 1\ngen x deg 0\nd a = 2*x*g1^-1 - 1\n")
+    assert str(z3.d_of_generator("a")) == "2*1 + 2*x*g1^-1"
+    alg = mixed.algebra
+    g1 = alg.element((1,))
+    beta = DualElement(alg, {"x": -alg.unit(), "y": alg.unit() + g1, "a": g1.scale(-2)})
+    assert str(beta) == "-2*g1*a - x + (1 + g1)*y"

@@ -31,6 +31,10 @@ vanish as eps o d = 0; the relation checks reject maps that are not
 augmentations.  Each check evaluates the relation with the operation's own
 evaluator, over the input patterns that could make a term nonzero, so the
 report is exact.  One verify call computes d^2 once for all its arities.
+Only the checks on the relation's support, the generator patterns of its
+words, are evaluated; the others are counted.  Both evaluators keep only
+the words whose generators are the inputs' pattern, so a check off the
+support has a zero residual term by term.
 """
 
 from __future__ import annotations
@@ -264,6 +268,31 @@ def ainfty_residual_case2(
     return _evaluate_case2(dga, _relation(dga, augs, len(inputs)), tensor_product(inputs))
 
 
+def _inputs(alg, case: str, pattern: tuple[str, ...], coeffs) -> list:
+    """One check's inputs: case I pool element times generator; case II
+    generators joined by pool elements."""
+    if case == "I":
+        return [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
+    return [
+        TensorElement.generator(alg, g) * TensorElement.from_algebra(b)
+        for g, b in zip(pattern, coeffs)
+    ] + [TensorElement.generator(alg, pattern[-1])]
+
+
+def _live_tuples(alg, case: str, pattern: tuple[str, ...], pool, slots: int) -> int:
+    """The number of pool tuples on ``pattern`` whose inputs are all
+    nonzero, the checks made on it.  Each input reads one pool element, so
+    a tuple is live exactly when each of its elements is, and the live
+    elements are read off the constant tuples.  Generators are only
+    labels here, so the number is the same for every pattern."""
+    live = [
+        b
+        for b in pool
+        if not any(m.is_zero() for m in _inputs(alg, case, pattern, (b,) * slots))
+    ]
+    return len(live) ** slots if live else 0
+
+
 def verify_ainfty(
     dga: SemifreeDGA,
     objects: Sequence[Augmentation],
@@ -279,6 +308,13 @@ def verify_ainfty(
     pool element times generator; case II: generators joined by pool
     elements).  With ``exhaustive`` every generator pattern is enumerated
     instead, as it is when no arity has a candidate pattern.
+
+    Only the patterns in the relation's support, the generators of its
+    words, are evaluated.  The checks on every other pattern are counted
+    without evaluation: both evaluators keep only the words whose
+    generators are the inputs' pattern, so those residuals vanish term by
+    term.  Counts, violations and their order are those of evaluating
+    every check.
     """
     if case not in ("I", "II"):
         raise NcdgaError(f"unknown case {case!r}")
@@ -293,24 +329,34 @@ def verify_ainfty(
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     joiner = ", " if case == "I" else " (x) "
     _check_augmentations(dga, objects, len(objects))
+    if case == "II" and dga.names and not alg.hermitian:
+        # every run with a generator checks an arity-1 input, which the
+        # case II evaluator rejects; counted checks would not reach it
+        raise NotHermitianError(f"{alg} has no hermitian structure")
     square = dga.d_squared()
     matches: dict = {}
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
         relation = _relation(dga, eps, n, square)
         if exhaustive:
-            patterns = list(itertools.product(dga.names, repeat=n))
+            patterns = itertools.product(dga.names, repeat=n)
         else:
             patterns = candidate_patterns(dga, eps, n, matches)
+        # psi_eval drops every word whose generators differ from the
+        # inputs' pattern, and adjoint_formula every word with
+        # fw.gens != mid_gens, so a pattern outside the relation's support
+        # has a zero residual term by term: its checks pass uncomputed
+        support = {tw.gens for value in relation.values() for tw in value.terms}
+        slots = n if case == "I" else n - 1
+        live = None
         for pattern in patterns:
-            for coeffs in itertools.product(pool, repeat=n if case == "I" else n - 1):
-                if case == "I":
-                    inputs = [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
-                else:
-                    inputs = [
-                        TensorElement.generator(alg, g) * TensorElement.from_algebra(b)
-                        for g, b in zip(pattern, coeffs)
-                    ] + [TensorElement.generator(alg, pattern[-1])]
+            if pattern not in support:
+                if live is None:
+                    live = _live_tuples(alg, case, pattern, pool, slots)
+                report.checks += live
+                continue
+            for coeffs in itertools.product(pool, repeat=slots):
+                inputs = _inputs(alg, case, pattern, coeffs)
                 if any(m.is_zero() for m in inputs):
                     continue
                 residual = _evaluate(dga, case, relation, inputs)

@@ -388,6 +388,9 @@ class Combination:
         self.terms = terms
 
     def _check(self, other: "Combination"):
+        # keys of different combination types do not mix in one dict
+        if type(other) is not type(self):
+            raise AlgebraMismatchError(f"{type(self).__name__} vs {type(other).__name__}")
         if self.algebra != other.algebra:
             raise AlgebraMismatchError(f"{self.algebra} vs {other.algebra}")
 

@@ -114,6 +114,11 @@ def test_case2_vanishes_beyond_word_length(toy_h):
 def test_case2_needs_hermitian(toy):
     with pytest.raises(NotHermitianError):
         mu_case2(toy, toy.generator("c3"))
+    # the relations of the toy vanish, so no check is evaluated; the run
+    # is still refused
+    for exhaustive in (False, True):
+        with pytest.raises(NotHermitianError):
+            verify_ainfty(toy, [Augmentation.trivial(toy)], "II", 2, exhaustive=exhaustive)
 
 
 def test_case2_bimodule_property(xy_dga, aug_p, m2):

@@ -14,6 +14,7 @@ from ncdga import (
     MatrixAlgebra,
     Q,
     SplitAlgebra,
+    TensorElement,
     Z,
     Z2,
     Zp,
@@ -101,6 +102,22 @@ def test_mixed_algebras_rejected():
     group = GroupRing(1, Z2)
     with pytest.raises(AlgebraMismatchError):
         free.element((1,)) + group.element((1,))
+
+
+def test_algebra_and_tensor_elements_do_not_mix():
+    """A sum of the two combination types would key one dict by basis
+    words and tensor words, so it is rejected either way round."""
+    free = FreeAlgebra(("g1",), Q)
+    one = free.unit()
+    tensor = TensorElement.from_algebra(free.element((1,)))
+    for a, b in ((one, tensor), (tensor, one)):
+        with pytest.raises(AlgebraMismatchError, match=f"{type(a).__name__} vs {type(b).__name__}"):
+            a + b
+        with pytest.raises(AlgebraMismatchError):
+            a - b
+        assert a != b
+    assert one != TensorElement.from_algebra(one)
+    assert TensorElement.from_algebra(one) + tensor == TensorElement.from_algebra(one + free.element((1,)))
 
 
 def test_star_examples():

@@ -33,7 +33,13 @@ from ncdga import (
     verify_ainfty,
 )
 from ncdga import ainfinity
-from ncdga.ainfinity import _evaluate_case1, _evaluate_case2, _relation, augmented_components
+from ncdga.ainfinity import (
+    _evaluate,
+    _evaluate_case1,
+    _evaluate_case2,
+    _relation,
+    augmented_components,
+)
 from ncdga.dga import SemifreeDGA
 from ncdga.errors import ArityMismatchError, InvalidAugmentationError, TupleLengthMismatchError
 from ncdga.report import Report
@@ -142,6 +148,37 @@ def split_by_split_report(dga, objects, case, max_arity, exhaustive=False):
                 )
     if not exhaustive and not report.checks:
         return split_by_split_report(dga, objects, case, max_arity, exhaustive=True)
+    return report
+
+
+def evaluated_report(dga, objects, case, max_arity):
+    """``verify_ainfty`` with ``exhaustive`` as a plain loop: every pattern
+    decorated by every pool tuple, and every check evaluated on the
+    relation read off d^2, inside the relation's support or not."""
+    alg = dga.algebra
+    pool = default_coeff_pool(alg)
+    report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
+    for n in range(1, max_arity + 1):
+        eps = tuple(objects[j % len(objects)] for j in range(n + 1))
+        relation = _relation(dga, eps, n)
+        for pattern in itertools.product(dga.names, repeat=n):
+            for coeffs in itertools.product(pool, repeat=n if case == "I" else n - 1):
+                if case == "I":
+                    inputs = [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
+                    joiner = ", "
+                else:
+                    inputs = [
+                        TensorElement.generator(alg, g) * TensorElement.from_algebra(b)
+                        for g, b in zip(pattern, coeffs)
+                    ] + [TensorElement.generator(alg, pattern[-1])]
+                    joiner = " (x) "
+                if any(m.is_zero() for m in inputs):
+                    continue
+                residual = _evaluate(dga, case, relation, inputs)
+                listed = joiner.join(str(m) for m in inputs)
+                report.record(
+                    residual.is_zero(), f"arity {n}, inputs {listed}: residual {residual}"
+                )
     return report
 
 
@@ -533,3 +570,34 @@ def test_generated_reports_match_the_split_by_split_reports(instance):
             report = verify_ainfty(dga, augs, case, MAX_ARITY)
             expected = split_by_split_report(dga, augs, case, MAX_ARITY)
             assert (report.checks, report.violations) == (expected.checks, expected.violations)
+
+
+def assert_exhaustive_reports_are_evaluated_ones(dga, augs, max_arity):
+    """The exhaustive report, which counts the checks outside the
+    relation's support, equals the one that evaluates every check."""
+    failing = 0
+    for case in ("I", "II") if dga.algebra.hermitian else ("I",):
+        report = verify_ainfty(dga, augs, case, max_arity, exhaustive=True)
+        expected = evaluated_report(dga, augs, case, max_arity)
+        assert (report.checks, report.violations) == (expected.checks, expected.violations)
+        failing += not report.ok
+    return failing
+
+
+def test_exhaustive_reports_on_broken_toys_match_evaluating_every_check(toy, toy_h):
+    failing = 0
+    for dga in (toy, toy_h):
+        broken = dropped(dga, "c3")
+        failing += assert_exhaustive_reports_are_evaluated_ones(
+            broken, [Augmentation.trivial(broken)], MAX_ARITY
+        )
+    assert failing == 3
+
+
+@settings(max_examples=5, deadline=None)
+@given(generated_dgas())
+def test_generated_exhaustive_reports_match_evaluating_every_check(instance):
+    failing = 0
+    for dga, augs in variants(*instance):
+        failing += assert_exhaustive_reports_are_evaluated_ones(dga, augs, 2)
+    assert failing

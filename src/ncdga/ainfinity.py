@@ -28,13 +28,13 @@ so the arity-n relation is the eps-augmented arity-n part of d^2
 (:func:`_relation`): the component builder run on c -> d(d(c)).  Beyond
 the usual double sum it has only terms prefix . eps(d z) . suffix, which
 vanish as eps o d = 0; the relation checks reject maps that are not
-augmentations.  Each check evaluates the relation with the operation's own
-evaluator, over the input patterns that could make a term nonzero, so the
-report is exact.  One verify call computes d^2 once for all its arities.
-Only the checks on the relation's support, the generator patterns of its
-words, are evaluated; the others are counted.  Both evaluators keep only
-the words whose generators are the inputs' pattern, so a check off the
-support has a zero residual term by term.
+augmentations.  The checks run over the input patterns that could make a
+term nonzero, with the operation's own evaluator, so the report is exact.
+One verify call computes d^2 once for all its arities.  Only the checks on
+the relation's support, the generator patterns of its words, are
+evaluated; the others are counted.  Both evaluators keep only the words
+whose generators are the inputs' pattern, so a check off the support has
+a zero residual term by term.
 """
 
 from __future__ import annotations

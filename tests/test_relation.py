@@ -112,6 +112,17 @@ def split_by_split_case2(dga, relation, inputs):
     return total
 
 
+def pool_inputs(alg, case, pattern, coeffs):
+    """A check's inputs: case I pool element times generator; case II
+    generators joined by pool elements."""
+    if case == "I":
+        return [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
+    return [
+        TensorElement.generator(alg, g) * TensorElement.from_algebra(b)
+        for g, b in zip(pattern, coeffs)
+    ] + [TensorElement.generator(alg, pattern[-1])]
+
+
 def split_by_split_report(dga, objects, case, max_arity, exhaustive=False):
     """``verify_ainfty`` over candidate patterns (every pattern with
     ``exhaustive`` or when no arity has a candidate) and the default pool,
@@ -128,13 +139,7 @@ def split_by_split_report(dga, objects, case, max_arity, exhaustive=False):
             patterns = candidate_patterns(dga, eps, n)
         for pattern in patterns:
             for coeffs in itertools.product(pool, repeat=n if case == "I" else n - 1):
-                if case == "I":
-                    inputs = [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
-                else:
-                    inputs = [
-                        TensorElement.generator(alg, g) * TensorElement.from_algebra(b)
-                        for g, b in zip(pattern, coeffs)
-                    ] + [TensorElement.generator(alg, pattern[-1])]
+                inputs = pool_inputs(alg, case, pattern, coeffs)
                 if any(m.is_zero() for m in inputs):
                     continue
                 if case == "I":
@@ -163,19 +168,11 @@ def evaluated_report(dga, objects, case, max_arity):
         relation = _relation(dga, eps, n)
         for pattern in itertools.product(dga.names, repeat=n):
             for coeffs in itertools.product(pool, repeat=n if case == "I" else n - 1):
-                if case == "I":
-                    inputs = [DualElement.term(b, g) for b, g in zip(coeffs, pattern)]
-                    joiner = ", "
-                else:
-                    inputs = [
-                        TensorElement.generator(alg, g) * TensorElement.from_algebra(b)
-                        for g, b in zip(pattern, coeffs)
-                    ] + [TensorElement.generator(alg, pattern[-1])]
-                    joiner = " (x) "
+                inputs = pool_inputs(alg, case, pattern, coeffs)
                 if any(m.is_zero() for m in inputs):
                     continue
                 residual = _evaluate(dga, case, relation, inputs)
-                listed = joiner.join(str(m) for m in inputs)
+                listed = (", " if case == "I" else " (x) ").join(str(m) for m in inputs)
                 report.record(
                     residual.is_zero(), f"arity {n}, inputs {listed}: residual {residual}"
                 )
@@ -574,12 +571,15 @@ def test_generated_reports_match_the_split_by_split_reports(instance):
 
 def assert_exhaustive_reports_are_evaluated_ones(dga, augs, max_arity):
     """The exhaustive report, which counts the checks outside the
-    relation's support, equals the one that evaluates every check."""
+    relation's support, equals the one that evaluates every check, and
+    the run over candidate patterns finds the same violations."""
     failing = 0
     for case in ("I", "II") if dga.algebra.hermitian else ("I",):
         report = verify_ainfty(dga, augs, case, max_arity, exhaustive=True)
         expected = evaluated_report(dga, augs, case, max_arity)
         assert (report.checks, report.violations) == (expected.checks, expected.violations)
+        candidates = verify_ainfty(dga, augs, case, max_arity)
+        assert sorted(candidates.violations) == sorted(report.violations)
         failing += not report.ok
     return failing
 

@@ -306,14 +306,17 @@ def verify_ainfty(
     cyclically when shorter than max_arity + 1.  Inputs run over candidate
     generator patterns decorated with :func:`default_coeff_pool` (case I:
     pool element times generator; case II: generators joined by pool
-    elements).  With ``exhaustive`` every generator pattern is enumerated
-    instead, as it is when no arity has a candidate pattern.
+    elements).  With ``exhaustive`` every generator pattern is checked
+    instead, as it is when no arity has a candidate pattern.  A DGA
+    without generators has no inputs, so it is refused rather than passed
+    with no checks.
 
     Only the patterns in the relation's support, the generators of its
-    words, are evaluated.  The checks on every other pattern are counted
-    without evaluation: both evaluators keep only the words whose
-    generators are the inputs' pattern, so those residuals vanish term by
-    term.  Counts, violations and their order are those of evaluating
+    words, are evaluated, in enumeration order.  The checks on every other
+    pattern are counted, not walked: both evaluators keep only the words
+    whose generators are the inputs' pattern, so those residuals vanish
+    term by term, and each pattern has the same number of live pool
+    tuples.  Counts, violations and their order are those of evaluating
     every check.
     """
     if case not in ("I", "II"):
@@ -324,37 +327,42 @@ def verify_ainfty(
         # every check runs at arity 1 or more; a smaller bound would pass
         # with no checks at all
         raise ArityMismatchError(f"max arity must be at least 1, got {max_arity}")
+    if not dga.names:
+        # every check's inputs are generators, so a run would pass with none
+        raise ArityMismatchError("the DGA has no generators, so there are no inputs to check")
     alg = dga.algebra
     pool = default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     joiner = ", " if case == "I" else " (x) "
     _check_augmentations(dga, objects, len(objects))
-    if case == "II" and dga.names and not alg.hermitian:
-        # every run with a generator checks an arity-1 input, which the
-        # case II evaluator rejects; counted checks would not reach it
+    if case == "II" and not alg.hermitian:
+        # every run checks an arity-1 input, which the case II evaluator
+        # rejects; counted checks would not reach it
         raise NotHermitianError(f"{alg} has no hermitian structure")
     square = dga.d_squared()
     matches: dict = {}
+    index = {name: i for i, name in enumerate(dga.names)}
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
         relation = _relation(dga, eps, n, square)
-        if exhaustive:
-            patterns = itertools.product(dga.names, repeat=n)
-        else:
-            patterns = candidate_patterns(dga, eps, n, matches)
         # psi_eval drops every word whose generators differ from the
         # inputs' pattern, and adjoint_formula every word with
         # fw.gens != mid_gens, so a pattern outside the relation's support
         # has a zero residual term by term: its checks pass uncomputed
         support = {tw.gens for value in relation.values() for tw in value.terms}
+        if exhaustive:
+            total = len(dga.names) ** n
+            evaluated = sorted(support, key=lambda pattern: [index[g] for g in pattern])
+        else:
+            candidates = candidate_patterns(dga, eps, n, matches)
+            total = len(candidates)
+            evaluated = [pattern for pattern in candidates if pattern in support]
         slots = n if case == "I" else n - 1
-        live = None
-        for pattern in patterns:
-            if pattern not in support:
-                if live is None:
-                    live = _live_tuples(alg, case, pattern, pool, slots)
-                report.checks += live
-                continue
+        if total > len(evaluated):
+            # the checks on a pattern do not depend on its generators
+            live = _live_tuples(alg, case, dga.names[:1] * n, pool, slots)
+            report.checks += (total - len(evaluated)) * live
+        for pattern in evaluated:
             for coeffs in itertools.product(pool, repeat=slots):
                 inputs = _inputs(alg, case, pattern, coeffs)
                 if any(m.is_zero() for m in inputs):

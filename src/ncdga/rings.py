@@ -1,9 +1,13 @@
 """Exact scalar rings: the integers, the rationals and prime fields.
 
 Scalars are stored as plain ``int`` (Z and Z/p, the latter reduced into
-[0, p)) or ``fractions.Fraction`` (Q, always in lowest terms).  All
-arithmetic goes through the owning :class:`Ring` so nothing ever touches
-floating point.
+[0, p)).  Over Q a scalar is canonical: an ``int`` when its value is
+integral and a lowest-terms ``fractions.Fraction`` only otherwise.  The
+coefficients of differentials, augmentations and eliminations are mostly
+small integers, and an ``int`` product costs a small fraction of a
+``Fraction`` one; ints and Fractions of equal value compare, hash and
+print alike, so the form never shows.  All arithmetic goes through the
+owning :class:`Ring` so nothing ever touches floating point.
 """
 
 from __future__ import annotations
@@ -64,15 +68,19 @@ class Ring:
                 return self.div(value.numerator % self.p, value.denominator % self.p)
             return int(value) % self.p
         if self.kind == "Q":
-            return Fraction(value)
+            if type(value) is int:
+                return value
+            if type(value) is not Fraction:
+                value = Fraction(value)  # strings, floats, other rationals
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise NcdgaError(f"{value} is not an integer")
             return value.numerator
         return int(value)
 
-    # cached: slot products ask for one once per placement, and building a
-    # fresh Fraction(1) each time was a measurable share of a component build
+    # cached: slot products ask for one once per placement, so it is
+    # read off the instance rather than coerced each time
     @cached_property
     def zero(self):
         return self.coerce(0)
@@ -91,27 +99,39 @@ class Ring:
         method call and a Fraction comparison."""
         return [(i, c) for i, c in enumerate(values) if c]
 
+    # Over Q, add, sub, mul and inv return canonical scalars: an int result
+    # (int operands) is kept, an integral Fraction becomes its numerator.
+
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Zp" else a + b
+        if self.kind == "Zp":
+            return (a + b) % self.p
+        r = a + b
+        return r if type(r) is int else (r.numerator if r.denominator == 1 else r)
 
     def add_term(self, terms: dict, key, value) -> None:
         """Add value at key of a sparse term map, in place; a key whose
         sum is zero is dropped, so term maps never hold a zero."""
         old = terms.get(key)
         total = value if old is None else self.add(old, value)
-        if self.is_zero(total):
+        if not total:
             terms.pop(key, None)
         else:
             terms[key] = total
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Zp" else a - b
+        if self.kind == "Zp":
+            return (a - b) % self.p
+        r = a - b
+        return r if type(r) is int else (r.numerator if r.denominator == 1 else r)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "Zp" else -a
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Zp" else a * b
+        if self.kind == "Zp":
+            return (a * b) % self.p
+        r = a * b
+        return r if type(r) is int else (r.numerator if r.denominator == 1 else r)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -119,7 +139,8 @@ class Ring:
         if self.kind == "Zp":
             return pow(a, -1, self.p)
         if self.kind == "Q":
-            return 1 / Fraction(a)
+            r = 1 / Fraction(a)
+            return r.numerator if r.denominator == 1 else r
         if a in (1, -1):
             return a
         raise NcdgaError(f"{a} is not invertible in Z")

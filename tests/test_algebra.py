@@ -5,6 +5,8 @@ import time
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdga import (
     AlgebraElement,
@@ -19,6 +21,7 @@ from ncdga import (
     Z2,
     Zp,
     check_hermitian_axioms,
+    parse_dga,
     pairing_t,
     try_word_inverse,
 )
@@ -40,6 +43,58 @@ def test_ring_arithmetic_is_exact():
         Zp(6)
     with pytest.raises(NcdgaError):
         Z.inv(2)
+
+
+def _canonical(value) -> bool:
+    """An int when integral, a lowest-terms Fraction otherwise."""
+    return type(value) is int if Fraction(value).denominator == 1 else type(value) is Fraction
+
+
+# canonical Q scalars, small enough to keep the test fast
+_q_scalars = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)).map(Q.coerce)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_q_scalars, _q_scalars)
+def test_q_arithmetic_keeps_scalars_canonical(a, b):
+    """Over Q every operation agrees with Fraction arithmetic and returns
+    an int exactly when its value is integral."""
+    assert _canonical(a) and _canonical(b)
+    fa, fb = Fraction(a), Fraction(b)
+    results = [
+        (Q.add(a, b), fa + fb),
+        (Q.sub(a, b), fa - fb),
+        (Q.mul(a, b), fa * fb),
+        (Q.neg(a), -fa),
+    ]
+    if fb:
+        results += [(Q.div(a, b), fa / fb), (Q.inv(b), 1 / fb)]
+    for got, expected in results:
+        assert got == expected and _canonical(got)
+    terms = {"w": a}
+    Q.add_term(terms, "w", b)
+    assert terms == ({} if fa + fb == 0 else {"w": fa + fb})
+    assert all(_canonical(c) for c in terms.values())
+
+
+def test_q_coerce_gives_canonical_scalars():
+    for value in (2, Fraction(4, 2), "2", 2.0):
+        assert type(Q.coerce(value)) is int and Q.coerce(value) == 2
+    third = Q.coerce("1/3")
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    assert Q.coerce(third) is third
+    assert (type(Q.zero), type(Q.one)) == (int, int)
+    assert (Q.zero, Q.one) == (0, 1)
+
+
+def test_parsed_q_coefficients_are_canonical():
+    dga = parse_dga(
+        "ring Q\nalgebra free\ngrading mod 0\ngen a deg 1\ngen x deg 0\ngen y deg 0\n"
+        "d a = 2*x + 1/2*y\n"
+    )
+    coeffs = {tw.gens: c for tw, c in dga.d_of_generator("a").terms.items()}
+    assert coeffs == {("x",): 2, ("y",): Fraction(1, 2)}
+    assert type(coeffs[("x",)]) is int and type(coeffs[("y",)]) is Fraction
 
 
 def _is_prime_field(p):

@@ -161,6 +161,18 @@ def test_ainfty_verify_without_checks_is_a_usage_error(toy_file, capsys, bound):
     assert "max arity" in captured.err
 
 
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_ainfty_verify_without_generators_is_a_usage_error(tmp_path, capsys, case):
+    """A DGA with no generators has no inputs, so a run would pass with
+    zero checks; it is refused instead."""
+    empty = tmp_path / "empty.dga"
+    empty.write_text("ring Q\nalgebra free\ngrading mod 0\n")
+    assert main(["ainfty-verify", str(empty), "--case", case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the DGA has no generators, so there are no inputs to check\n"
+
+
 def test_bad_fraction_exit_code(tmp_path, xy_file, capsys):
     bad = tmp_path / "half.dga"
     bad.write_text("ring Z2\nalgebra free g1\ngen a deg 1\ngen x deg 0\nd a = 1/2*x\n")

@@ -234,11 +234,15 @@ def candidate_patterns(
     eps(d z) = 0, see :func:`_relation`).  Every other pattern vanishes
     term by term.  ``matches`` maps (augmentation tuple, arity) to the
     pattern matches built so far; a caller checking several arities in one
-    call passes the same dict to each, so shared matches are built once."""
+    call passes the same dict to each, so shared matches are built once.
+    An operation of arity above the longest word of d has no placement,
+    so only the splits whose inner arity l and outer arity n + 1 - l are
+    both at most that length are read."""
     eps = tuple(augs)
     built = {} if matches is None else matches
     patterns: set[tuple[str, ...]] = set()
-    for l in range(1, n + 1):
+    longest = dga.max_word_arity()
+    for l in range(max(1, n + 1 - longest), min(n, longest) + 1):
         for i in range(1, n + 2 - l):
             keys = (eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)
             for key in keys:
@@ -293,6 +297,10 @@ def _live_tuples(alg, case: str, pattern: tuple[str, ...], pool, slots: int) -> 
     return len(live) ** slots if live else 0
 
 
+# the largest max_arity that verify_ainfty accepts
+_MAX_ARITY = 1000
+
+
 def verify_ainfty(
     dga: SemifreeDGA,
     objects: Sequence[Augmentation],
@@ -309,7 +317,8 @@ def verify_ainfty(
     elements).  With ``exhaustive`` every generator pattern is checked
     instead, as it is when no arity has a candidate pattern.  A DGA
     without generators has no inputs, so it is refused rather than passed
-    with no checks.
+    with no checks.  ``max_arity`` runs from 1 to ``_MAX_ARITY``, which
+    keeps the check count of a few thousand generators printable.
 
     Only the patterns in the relation's support, the generators of its
     words, are evaluated, in enumeration order.  The checks on every other
@@ -327,6 +336,11 @@ def verify_ainfty(
         # every check runs at arity 1 or more; a smaller bound would pass
         # with no checks at all
         raise ArityMismatchError(f"max arity must be at least 1, got {max_arity}")
+    if max_arity > _MAX_ARITY:
+        # the count of an exhaustive run grows like the generator count to
+        # the power max_arity, and past a few thousand digits it cannot be
+        # printed
+        raise ArityMismatchError(f"max arity must be at most {_MAX_ARITY}, got {max_arity}")
     if not dga.names:
         # every check's inputs are generators, so a run would pass with none
         raise ArityMismatchError("the DGA has no generators, so there are no inputs to check")

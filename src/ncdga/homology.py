@@ -22,9 +22,22 @@ z -> E_a1 z E_1d.  Every other complex is the one block (1, 1) and its
 own core, and the move is the identity.  The results are exactly those of
 eliminating the whole complex, not merely isomorphic: see
 :class:`HomologyResult`.
+
+The core differential is built in one pass.  The arity-one augmented
+component of d^eps(g) is a sum of terms c a0 h a1, one survivor h each,
+and the operation on a label reads only the terms whose survivor is the
+label's generator: case I sends w h to c a0 w a1 g, case II sends u h v
+to c (u a0*) g (a1* v), the trace-pairing adjoint.  So the terms are
+grouped by survivor once and each label scatters its group into its
+column; ainfinity's evaluators, which serve the products and the relation
+checks, give the same columns one label at a time.  A representative is
+kept as its core vector and its block, and printed from the core vector's
+nonzero entries; the full-basis vectors are built only on request.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .ainfinity import _evaluate
 # re-exported: the benchmark self-test reads ncdga.homology.mu_eps_case2, so
@@ -53,7 +66,8 @@ class Span:
 
     Each echelon row keeps the indices of its nonzero entries, so reducing
     and inserting touch only those columns; complexes of decorated
-    generators give sparse rows."""
+    generators give sparse rows.  Scalars are tested by their truth value,
+    as in :meth:`Ring.support`: they are false exactly when zero."""
 
     def __init__(self, ring: Ring, width: int):
         self.ring = ring
@@ -67,7 +81,7 @@ class Span:
         vec = list(vector)
         for row, pivot, support in zip(self.rows, self.pivots, self.supports):
             c = vec[pivot]
-            if not ring.is_zero(c):
+            if c:
                 for j in support:
                     vec[j] = ring.sub(vec[j], ring.mul(c, row[j]))
         return vec
@@ -76,7 +90,7 @@ class Span:
         """Insert a vector; returns True when it enlarges the span."""
         ring = self.ring
         vec = self.reduce(vector)
-        support = [j for j, c in enumerate(vec) if not ring.is_zero(c)]
+        support = [j for j, c in enumerate(vec) if c]
         if not support:
             return False
         pivot = support[0]
@@ -85,11 +99,11 @@ class Span:
             vec[j] = ring.mul(inv, vec[j])
         for i, row in enumerate(self.rows):
             c = row[pivot]
-            if not ring.is_zero(c):
+            if c:
                 for j in support:
                     row[j] = ring.sub(row[j], ring.mul(c, vec[j]))
                 merged = set(self.supports[i]).union(support)
-                self.supports[i] = [j for j in merged if not ring.is_zero(row[j])]
+                self.supports[i] = [j for j in merged if row[j]]
         self.rows.append(vec)
         self.pivots.append(pivot)
         self.supports.append(support)
@@ -126,22 +140,6 @@ def kernel_basis(matrix: list[list], ncols: int, ring: Ring) -> list[list]:
     return basis
 
 
-def solve_in_span(columns: list[list], target: list, ring: Ring) -> list | None:
-    """Coefficients expressing target in the given columns, or None.  Free
-    coefficients are zero; the rest come from the reduced echelon form of
-    the augmented matrix [columns | target]."""
-    ncols = len(columns)
-    span = Span(ring, ncols + 1)
-    for i, t in enumerate(target):
-        span.add([col[i] for col in columns] + [t])
-    if ncols in span.pivots:
-        return None
-    solution = [ring.zero] * ncols
-    for row, col in zip(span.rows, span.pivots):
-        solution[col] = row[-1]
-    return solution
-
-
 # -- bilinearised complexes ------------------------------------------------
 
 
@@ -154,7 +152,9 @@ class ChainComplex:
     blocks (a, d) of its corner; only the corner's matrices are stored and
     squared, and the full block-diagonal matrix of a degree is assembled on
     the first call of :meth:`matrix`.  Every other complex is the one block
-    (1, 1) and its own core, at the identity positions."""
+    (1, 1) and its own core, at the identity positions.  The core's
+    matrices are built in one pass over the augmented components (see the
+    module docstring)."""
 
     def __init__(self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, core=None):
         self.dga = dga
@@ -300,7 +300,7 @@ def bilinearized_complex(
     the augmented components, which multiplies the outer slots of a label
     and nothing else, so d(E_a1 z E_1d) = E_a1 d(z) E_1d and the labels
     (E_ab, g, E_cd) of each block (a, d) form a copy of the corner.  Only
-    the corner's columns are evaluated, and the returned complex has the
+    the corner's columns are built, and the returned complex has the
     corner as its core (see :class:`ChainComplex`); its basis is still the
     full one."""
     base, (a0, a1) = _prepare(dga, [e0, e1])
@@ -338,22 +338,43 @@ def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -
 
     if case == "II" and not alg.hermitian:
         raise NotHermitianError(f"{alg} has no hermitian structure")
-    # the arity-one operation reads these components; they do not depend
-    # on the column, so build them once per complex
-    components = augmented_components(base, (a0, a1), 1)
+    # the terms c a0 h a1 of each d^eps(g), grouped by their survivor h,
+    # with the slots starred in case II (see the module docstring)
+    star = alg.star_word if case == "II" else None
+    terms_of: dict[str, list] = {}
+    for gen, value in augmented_components(base, (a0, a1), 1).items():
+        for tw, c in value.terms.items():
+            left, right = tw.coeffs
+            if star is not None:
+                left, right = star(left), star(right)
+            terms_of.setdefault(tw.gens[0], []).append((left, gen, right, c))
 
-    evaluated = corner_basis if morita else basis
+    ring, mul = alg.ring, alg.mul_words
+    core_basis = corner_basis if morita else basis
     diff: dict[int, list[list]] = {}
-    for degree, labels in evaluated.items():
-        target_labels = evaluated.get(base.reduce_degree(degree + 1), [])
+    for degree, labels in core_basis.items():
+        target_labels = core_basis.get(base.reduce_degree(degree + 1), [])
         index = {label: i for i, label in enumerate(target_labels)}
-        matrix = [[alg.ring.zero] * len(labels) for _ in target_labels]
+        matrix = [[ring.zero] * len(labels) for _ in target_labels]
         for col, label in enumerate(labels):
-            value = _evaluate(base, case, components, [_chain(alg, case, [(label, alg.ring.one)])])
-            for label_out, c in _coordinates(case, value):
-                matrix[index[label_out]][col] = c
+            for left, gen, right, c in terms_of.get(label[1], ()):
+                if star is None:
+                    # case I: w h -> a0 w a1 g
+                    word = mul(left, label[0])
+                    word = None if word is None else mul(word, right)
+                    if word is None:
+                        continue
+                    out = (word, gen)
+                else:
+                    # case II: u h v -> (u a0*) g (a1* v)
+                    u, v = mul(label[0], left), mul(right, label[2])
+                    if u is None or v is None:
+                        continue
+                    out = (u, gen, v)
+                row = matrix[index[out]]
+                row[col] = ring.add(row[col], c)
         diff[degree] = matrix
-    cx = ChainComplex(base, (a0, a1), case, evaluated, diff)
+    cx = ChainComplex(base, (a0, a1), case, core_basis, diff)
     if morita:
         return ChainComplex(base, (a0, a1), case, basis, {}, core=cx)
     return cx
@@ -372,7 +393,13 @@ class HomologyResult:
     the whole is that of each block, whose columns keep the core's order,
     and a cycle of one block enlarges the span exactly when it does within
     its block.  With one block the move is the identity.  ``image_spans``
-    holds the core's spans."""
+    holds the core's spans.
+
+    Only the core representatives and the (block, core index) origin of
+    each representative are kept: :meth:`representative_strings` reads
+    a moved representative off its core vector's nonzero entries, and
+    :attr:`representatives`, the full-basis vectors, is built on first
+    use."""
 
     def __init__(self, cx: ChainComplex):
         self.cx = cx
@@ -391,7 +418,6 @@ class HomologyResult:
                         span.add([row[col] for row in matrix])
             self.image_spans[degree] = span
         self.core_representatives: dict[int, list[list]] = {}
-        self.representatives: dict[int, list[list]] = {}
         self.dims: dict[int, int] = {}
         self._origin: dict[int, list] = {}  # degree -> (block, core index) per representative
         self._slot: dict[int, dict] = {}    # its inverse
@@ -411,7 +437,6 @@ class HomologyResult:
                 for k, col in enumerate(free)
             )
             origin = [(block, k) for _col, block, k in order]
-            self.representatives[degree] = [cx._move(degree, reps[k], block) for block, k in origin]
             self.dims[degree] = len(origin)
             self._origin[degree] = origin
             self._slot[degree] = {key: i for i, key in enumerate(origin)}
@@ -420,16 +445,36 @@ class HomologyResult:
     def total_dimension(self) -> int:
         return sum(self.dims.values())
 
+    @functools.cached_property
+    def representatives(self) -> dict[int, list[list]]:
+        """The representatives as vectors of the full basis, built on first
+        use: the results themselves only read the core representatives."""
+        move = self.cx._move
+        reps = self.core_representatives
+        return {
+            degree: [move(degree, reps[degree][k], block) for block, k in origin]
+            for degree, origin in self._origin.items()
+        }
+
     def representative_strings(self, degree: int) -> list[str]:
+        """The representatives as printed, read off the core: entry j of a
+        core representative moved into a block is the label at the block's
+        position of j, and the terms are written in full-basis order."""
         cx = self.cx
         labels = cx.basis[degree]
+        positions = cx._positions[degree]
         ring = cx.field
         one = ring.one
+        supports = [ring.support(z) for z in self.core_representatives[degree]]
+        texts: dict[int, str] = {}
         out = []
-        for rep in self.representatives[degree]:
+        for block, k in self._origin[degree]:
+            at = positions[block]
             parts = []
-            for i, c in ring.support(rep):
-                text = cx.label_str(labels[i])
+            for i, c in sorted((at[j], c) for j, c in supports[k]):
+                text = texts.get(i)
+                if text is None:
+                    text = texts[i] = cx.label_str(labels[i])
                 parts.append(text if c == one else f"{ring.scalar_str(c)}*{text}")
             out.append(" + ".join(parts) if parts else "0")
         return out

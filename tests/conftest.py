@@ -12,6 +12,7 @@ from ncdga import (
     toy_dga,
     toy_hermitian_dga,
 )
+from ncdga.homology import Span
 
 XY_SOURCE = """\
 ring Z2
@@ -37,6 +38,20 @@ d c2 = c5*g2
 d c3 = c5*g2*g1*c4
 """
 
+# Chekanov's trefoil: words of d up to three letters
+TREFOIL_SOURCE = """\
+ring Z2
+algebra free
+grading mod 0
+gen a1 deg 0
+gen a2 deg 0
+gen a3 deg 0
+gen b1 deg 1
+gen b2 deg 1
+d b1 = 1 + a1 + a3 + a1*a2*a3
+d b2 = 1 + a1 + a3 + a3*a2*a1
+"""
+
 # The c0/s0 pair makes the corpus genuinely sign-sensitive: d(c0) contains
 # x1*x2 with an odd letter in front of a differentiable one, so d^2 = 0 and
 # the associativity relations both hinge on the Koszul signs.
@@ -57,6 +72,22 @@ d s0 = -y0*x2 + x1*y1
 d x2 = y1
 d x1 = y0
 """
+
+
+def solve_in_span(columns, target, ring):
+    """Coefficients expressing target in the given columns, or None.  Free
+    coefficients are zero; the rest come from the reduced echelon form of
+    the augmented matrix [columns | target]."""
+    ncols = len(columns)
+    span = Span(ring, ncols + 1)
+    for i, t in enumerate(target):
+        span.add([col[i] for col in columns] + [t])
+    if ncols in span.pivots:
+        return None
+    solution = [ring.zero] * ncols
+    for row, col in zip(span.rows, span.pivots):
+        solution[col] = row[-1]
+    return solution
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,12 @@ from ncdga import (
     candidate_patterns,
     mu_case1,
     mu_eps_case1,
+    parse_dga,
 )
 from ncdga.ainfinity import _pattern_matches
 from ncdga.homology import _prepare
 
+from conftest import TREFOIL_SOURCE
 from test_case2_components import _compositions, _xy_augmentations
 
 
@@ -179,6 +181,46 @@ def test_candidate_patterns_match_walk(
                 assert _pattern_matches(dga, eps[: l + 1], l) == walked_pattern_matches(
                     dga, eps[: l + 1], l
                 )
+
+
+def unpruned_candidate_patterns(dga, augs, n):
+    """candidate_patterns over every split (l, i), past the longest word of
+    d too: the splits it skips add no pattern."""
+    eps = tuple(augs)
+    patterns = set()
+    for l in range(1, n + 1):
+        for i in range(1, n + 2 - l):
+            inner = _pattern_matches(dga, eps[i - 1 : i + l], l)
+            outer = _pattern_matches(dga, eps[:i] + eps[i + l - 1 :], n + 1 - l)
+            for pat_in, name_in in inner:
+                for pat_out, _name in outer:
+                    if pat_out[i - 1] == name_in:
+                        patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
+    return sorted(patterns)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_candidate_patterns_match_unpruned_loop(
+    toy_h, toy_h_augmentations, q_corpus_augmented, n
+):
+    """Words of d have at most two letters in the toy and three in the
+    trefoil and the q corpus, so from arity 2 or 3 on some splits are
+    skipped, and from arity 4 or 6 on every split is."""
+    shifted, q_augs = _q_augmentations(q_corpus_augmented)
+    trefoil = parse_dga(TREFOIL_SOURCE)
+    unit = trefoil.algebra.unit()
+    cases = [
+        (toy_h, toy_h_augmentations),
+        (shifted, q_augs),
+        (trefoil, [Augmentation(trefoil, {"a1": unit}), Augmentation(trefoil, {"a3": unit})]),
+    ]
+    found = 0
+    for dga, augs in cases:
+        for eps in _tuples(augs, n):
+            patterns = candidate_patterns(dga, eps, n)
+            assert patterns == unpruned_candidate_patterns(dga, eps, n)
+            found += len(patterns)
+    assert found or n > 4
 
 
 # -- the case I complex ---------------------------------------------------

@@ -27,9 +27,9 @@ from ncdga import (
 )
 from ncdga.ainfinity import augmented_components
 from ncdga.errors import TupleLengthMismatchError
-from ncdga.homology import Span, _prepare, kernel_basis, solve_in_span
+from ncdga.homology import Span, _prepare, kernel_basis
 
-from conftest import XY_SOURCE
+from conftest import XY_SOURCE, solve_in_span
 
 
 def _compositions(total, parts):

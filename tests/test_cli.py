@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ncdga import builtin_source, cli, print_dga
 from ncdga.cli import build_parser, main
 
-from conftest import XY_SOURCE
+from conftest import TREFOIL_SOURCE, XY_SOURCE
 
 AUG_P = "target matrix 2 over Z2 ; x = [[0,1],[1,0]] ; y = [[0,1],[1,0]]\n"
 AUG_ID = "target matrix 2 over Z2 ; x = [[1,0],[0,1]] ; y = [[1,0],[0,1]]\n"
@@ -159,6 +159,25 @@ def test_ainfty_verify_without_checks_is_a_usage_error(toy_file, capsys, bound):
     captured = capsys.readouterr()
     assert "all residuals vanish" not in captured.out
     assert "max arity" in captured.err
+
+
+def test_ainfty_verify_refuses_arities_past_the_bound(tmp_path, toy_file, capsys):
+    """The exhaustive count of the trefoil's 4-copy at arity 2300 has over
+    4,300 digits; the run is refused before any check, with one error
+    line.  The bound itself is accepted."""
+    trefoil = tmp_path / "trefoil.dga"
+    trefoil.write_text(TREFOIL_SOURCE)
+    copied = tmp_path / "trefoil-4.dga"
+    assert main(["ncopy", "-n", "4", str(trefoil), "-o", str(copied)]) == 0
+    aug = tmp_path / "trefoil-4.aug"
+    aug.write_text("target free over Z2\n" + "".join(f"a1_{i}{i} = 1\n" for i in range(1, 5)))
+    args = ["ainfty-verify", str(copied), "--eps", str(aug), "--case", "I", "--exhaustive"]
+    assert main(args + ["--max-arity", "2300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max arity must be at most 1000, got 2300\n"
+    assert main(["ainfty-verify", toy_file, "--case", "I", "--max-arity", "1000"]) == 0
+    assert capsys.readouterr().out == "all residuals vanish (16 checks)\n"
 
 
 @pytest.mark.parametrize("case", ["I", "II"])

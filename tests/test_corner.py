@@ -33,7 +33,9 @@ from ncdga import (
 from ncdga.ainfinity import _evaluate_case2, augmented_components
 from ncdga.cli import main
 from ncdga.errors import NcdgaError
-from ncdga.homology import Span, _prepare, kernel_basis, solve_in_span
+from ncdga.homology import Span, _prepare, kernel_basis
+
+from conftest import solve_in_span
 
 Z3 = Zp(3)
 

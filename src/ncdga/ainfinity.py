@@ -347,7 +347,6 @@ def verify_ainfty(
     alg = dga.algebra
     pool = default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
-    joiner = ", " if case == "I" else " (x) "
     _check_augmentations(dga, objects, len(objects))
     if case == "II" and not alg.hermitian:
         # every run checks an arity-1 input, which the case II evaluator
@@ -356,6 +355,11 @@ def verify_ainfty(
     square = dga.d_squared()
     matches: dict = {}
     index = {name: i for i, name in enumerate(dga.names)}
+
+    def every_pattern(support):
+        return sorted(support, key=lambda pattern: [index[g] for g in pattern])
+
+    arities = []  # (n, relation, support), kept for the zero-check fallback
     for n in range(1, max_arity + 1):
         eps = tuple(objects[j % len(objects)] for j in range(n + 1))
         relation = _relation(dga, eps, n, square)
@@ -365,30 +369,51 @@ def verify_ainfty(
         # has a zero residual term by term: its checks pass uncomputed
         support = {tw.gens for value in relation.values() for tw in value.terms}
         if exhaustive:
-            total = len(dga.names) ** n
-            evaluated = sorted(support, key=lambda pattern: [index[g] for g in pattern])
+            evaluated, total = every_pattern(support), len(dga.names) ** n
         else:
+            arities.append((n, relation, support))
             candidates = candidate_patterns(dga, eps, n, matches)
-            total = len(candidates)
             evaluated = [pattern for pattern in candidates if pattern in support]
-        slots = n if case == "I" else n - 1
-        if total > len(evaluated):
-            # the checks on a pattern do not depend on its generators
-            live = _live_tuples(alg, case, dga.names[:1] * n, pool, slots)
-            report.checks += (total - len(evaluated)) * live
-        for pattern in evaluated:
-            for coeffs in itertools.product(pool, repeat=slots):
-                inputs = _inputs(alg, case, pattern, coeffs)
-                if any(m.is_zero() for m in inputs):
-                    continue
-                residual = _evaluate(dga, case, relation, inputs)
-                if residual.is_zero():
-                    report.record(True, "")  # a passing check formats no message
-                else:
-                    listed = joiner.join(str(m) for m in inputs)
-                    report.record(False, f"arity {n}, inputs {listed}: residual {residual}")
+            total = len(candidates)
+        _check_arity(report, dga, case, pool, n, relation, evaluated, total)
     if not exhaustive and not report.checks:
         # no candidate pattern at any arity; a pass with no checks shows
-        # nothing, so check every pattern
-        return verify_ainfty(dga, objects, case, max_arity, exhaustive=True)
+        # nothing, so check every pattern, on the relations already built
+        report = Report(report.title)
+        for n, relation, support in arities:
+            total = len(dga.names) ** n
+            _check_arity(report, dga, case, pool, n, relation, every_pattern(support), total)
     return report
+
+
+def _check_arity(
+    report: Report,
+    dga: SemifreeDGA,
+    case: str,
+    pool,
+    n: int,
+    relation: Mapping[str, TensorElement],
+    evaluated: Sequence[tuple[str, ...]],
+    total: int,
+) -> None:
+    """Record the arity-n checks of ``total`` patterns on ``report``:
+    those on ``evaluated``, the patterns in the relation's support, one by
+    one and in order; those on the other patterns as a count, since the
+    checks on a pattern do not depend on its generators."""
+    alg = dga.algebra
+    joiner = ", " if case == "I" else " (x) "
+    slots = n if case == "I" else n - 1
+    if total > len(evaluated):
+        live = _live_tuples(alg, case, dga.names[:1] * n, pool, slots)
+        report.checks += (total - len(evaluated)) * live
+    for pattern in evaluated:
+        for coeffs in itertools.product(pool, repeat=slots):
+            inputs = _inputs(alg, case, pattern, coeffs)
+            if any(m.is_zero() for m in inputs):
+                continue
+            residual = _evaluate(dga, case, relation, inputs)
+            if residual.is_zero():
+                report.record(True, "")  # a passing check formats no message
+            else:
+                listed = joiner.join(str(m) for m in inputs)
+                report.record(False, f"arity {n}, inputs {listed}: residual {residual}")

@@ -160,7 +160,8 @@ class MatrixAlgebra(CoefficientAlgebra):
     def symbols(self):
         if self.n > 9:
             return {}
-        return {self.word_str(w): self.element(w) for w in self.words()}
+        one = self.ring.one
+        return {self.word_str(w): AlgebraElement(self, {w: one}) for w in self.words()}
 
     def declaration(self):
         return f"matrix {self.n}"

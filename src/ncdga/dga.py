@@ -137,21 +137,23 @@ class SemifreeDGA:
             raise DegreeUnknownError(f"unknown generator {name}")
         return TensorElement.generator(self.algebra, name)
 
-    def word_degree(self, tw: TensorWord) -> int:
-        return self.reduce_degree(sum(self.degree(g) for g in tw.gens))
+    def word_degree(self, gens: Sequence[str]) -> int:
+        """The degree of a word with these generators."""
+        return self.reduce_degree(sum(self.degree(g) for g in gens))
 
     def element_degree(self, x: TensorElement) -> int | None:
         """The common degree of all words, or None for the zero element."""
-        degrees = {self.word_degree(tw) for tw in x.terms}
+        degrees = {self.word_degree(tw.gens) for tw in x.terms}
         if not degrees:
             return None
         if len(degrees) > 1:
             raise DegreeMismatchError(f"inhomogeneous element of degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def word_action(self, tw: TensorWord) -> Fraction:
+    def word_action(self, gens: Sequence[str]) -> Fraction:
+        """The total action of a word's generators."""
         total = Fraction(0)
-        for g in tw.gens:
+        for g in gens:
             a = self._actions[g]
             if a is None:
                 raise NoActionsError(f"generator {g} carries no action")
@@ -164,22 +166,23 @@ class SemifreeDGA:
                 raise ActionViolationError(f"action of {g.name} must be positive")
         for name, value in self.differential.items():
             expected = self.reduce_degree(self.degree(name) - 1)
-            for tw in value.terms:
-                for g in tw.gens:
-                    self.degree(g)
-                if self.word_degree(tw) != expected:
+            # degree and action depend on a word's generators alone, and
+            # words over a matrix algebra share them n^(arity + 1) times
+            patterns = dict.fromkeys(tw.gens for tw in value.terms)
+            for gens in patterns:
+                degree = self.word_degree(gens)
+                if degree != expected:
                     raise DegreeMismatchError(
-                        f"d {name}: word of degree {self.word_degree(tw)},"
-                        f" expected {expected}",
+                        f"d {name}: word of degree {degree}, expected {expected}",
                         generator=name,
                     )
             if self.has_actions:
                 bound = self.action(name)
-                for tw in value.terms:
-                    if self.word_action(tw) >= bound:
+                for gens in patterns:
+                    action = self.word_action(gens)
+                    if action >= bound:
                         raise ActionViolationError(
-                            f"d {name}: word action {self.word_action(tw)}"
-                            f" does not drop below {bound}",
+                            f"d {name}: word action {action} does not drop below {bound}",
                             generator=name,
                         )
 
@@ -240,15 +243,32 @@ class SemifreeDGA:
     # -- constructions -------------------------------------------------
 
     def change_coefficients(self, morphism: CoefficientMorphism) -> "SemifreeDGA":
-        """Transport the DGA along a unital algebra morphism on coefficients."""
+        """Transport the DGA along a unital algebra morphism on coefficients.
+
+        The word a0 c1 a1 ... cn an with coefficient c moves to the sum,
+        over one term (wj, vj) of the image of each aj, of c * v0 ... vn
+        at the word w0 c1 w1 ... cn wn.  That is the image of the word with
+        each generator written as the sum of u cj v over pairs of the
+        target's unit words: every basis word of every algebra here has
+        exactly one left and one right unit word, and the unit words are
+        orthogonal idempotents summing to 1, so u w v is either w or 0."""
         if morphism.source != self.algebra:
             raise AlgebraMismatchError("morphism source is not the coefficient algebra")
         target = morphism.target
-        images = {name: TensorElement.generator(target, name) for name in self.names}
-        differential = {
-            name: substitute(value, images, morphism, target)
-            for name, value in self.differential.items()
-        }
+        ring = target.ring
+        apply_word = morphism.apply_word
+        differential = {}
+        for name, value in self.differential.items():
+            out: dict = {}
+            for tw, c in value.terms.items():
+                c = ring.coerce(c)
+                images = [apply_word(a).terms.items() for a in tw.coeffs]
+                for choice in itertools.product(*images):
+                    v = c
+                    for _w, x in choice:
+                        v = ring.mul(v, x)
+                    ring.add_term(out, TensorWord(tuple(w for w, _x in choice), tw.gens), v)
+            differential[name] = TensorElement(target, out)
         return SemifreeDGA(target, self.generators, differential, self.modulus)
 
     def _endomorphism(self, images: Mapping[str, TensorElement]) -> dict[str, TensorElement]:

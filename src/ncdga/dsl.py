@@ -14,6 +14,7 @@ Grammar (``#`` starts a comment, statements end at a newline or ``;``)::
     atom   := scalar | ident ['^-1'] | unit ['^-1'] | matrix-literal | '(' expr ')'
     unit   := 'E' '(' int ',' int ')'
     scalar := int ['/' int]
+    int    := ASCII digits 0-9                # any other digit is an error
 
 Identifiers resolve to declared generators or to the algebra's symbols
 (g1, E12, e1, ...).  ``unit`` is the matrix unit E(i,j) of ``matrix n``,
@@ -30,6 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
+    AlgebraElement,
     CoefficientAlgebra,
     CoefficientMorphism,
     FreeAlgebra,
@@ -63,66 +65,73 @@ _PUNCT = {"*", "+", "-", "/", "^", "(", ")", "[", "]", ",", "=", ";"}
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
+    # Token(...) runs the named tuple's __new__, a Python function; building
+    # the tuple directly costs a third as much, and a file has dozens of tokens
+    new = tuple.__new__
     for line_no, line in enumerate(text.splitlines(), start=1):
-        i = 0
-        while i < len(line):
+        i, end = 0, len(line)
+        while i < end:
             ch = line[i]
-            if ch == "#":
+            # single characters first: matrix literals are mostly brackets,
+            # commas and one-digit entries
+            if ch in _PUNCT:
+                append(new(Token, (ch, ch, line_no, i + 1)))
+                i += 1
+            elif "0" <= ch <= "9":
+                # numbers are ASCII digits; any other digit is unexpected
+                j = i + 1
+                while j < end and "0" <= line[j] <= "9":
+                    j += 1
+                append(new(Token, ("number", line[i:j], line_no, i + 1)))
+                i = j
+            elif ch.isspace():
+                i += 1
+            elif ch == "#":
                 break
-            if ch.isspace():
-                i += 1
-                continue
-            col = i + 1
-            if ch.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                tokens.append(Token("number", line[i:j], line_no, col))
-                i = j
             elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
+                j = i + 1
+                while j < end and (line[j].isalnum() or line[j] == "_"):
                     j += 1
-                tokens.append(Token("ident", line[i:j], line_no, col))
+                append(new(Token, ("ident", line[i:j], line_no, i + 1)))
                 i = j
-            elif ch in _PUNCT:
-                tokens.append(Token(ch, ch, line_no, col))
-                i += 1
             else:
-                raise ParseError(f"unexpected character {ch!r}", line_no, col)
-        tokens.append(Token("newline", "", line_no, len(line) + 1))
+                raise ParseError(f"unexpected character {ch!r}", line_no, i + 1)
+        append(new(Token, ("newline", "", line_no, end + 1)))
     return tokens
+
+
+# ends every stream, so reading stops there without a bounds test; it has
+# no position, as the end of the input has none
+_END = Token("end", "", None, None)
+_STATEMENT_ENDS = frozenset(("newline", ";", "end"))
 
 
 class _Stream:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens = [*tokens, _END]
         self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        """The next token; :data:`_END` at the end of the input."""
+        return self.tokens[self.pos]
 
     def at_statement_end(self) -> bool:
-        tok = self.peek()
-        return tok is None or tok.kind in ("newline", ";")
+        return self.tokens[self.pos].kind in _STATEMENT_ENDS
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
+        """Consume the next token, which :meth:`peek` has shown is not the end."""
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            found = "end of input" if tok is None else repr(tok.text or tok.kind)
-            raise ParseError(
-                f"expected {what or kind}, found {found}",
-                tok.line if tok else None,
-                tok.column if tok else None,
-            )
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            found = "end of input" if tok is _END else repr(tok.text or tok.kind)
+            raise ParseError(f"expected {what or kind}, found {found}", tok.line, tok.column)
+        self.pos += 1
+        return tok
 
     def expect_word(self, word: str) -> Token:
         tok = self.expect("ident", repr(word))
@@ -131,12 +140,12 @@ class _Stream:
         return tok
 
     def skip_separators(self):
-        while (tok := self.peek()) is not None and tok.kind in ("newline", ";"):
+        while self.tokens[self.pos].kind in ("newline", ";"):
             self.pos += 1
 
     def end_statement(self):
-        tok = self.peek()
-        if tok is not None and tok.kind not in ("newline", ";"):
+        tok = self.tokens[self.pos]
+        if tok.kind not in _STATEMENT_ENDS:
             raise ParseError(
                 f"unexpected {tok.text!r} at end of statement", tok.line, tok.column
             )
@@ -144,8 +153,7 @@ class _Stream:
 
 def _parse_int(stream: _Stream) -> int:
     negative = False
-    tok = stream.peek()
-    if tok is not None and tok.kind == "-":
+    if stream.peek().kind == "-":
         stream.next()
         negative = True
     tok = stream.expect("number", "an integer")
@@ -156,10 +164,10 @@ def _parse_int(stream: _Stream) -> int:
     return -value if negative else value
 
 
-def _parse_rational(stream: _Stream) -> Fraction:
+def _parse_rational(stream: _Stream) -> int | Fraction:
+    """An integer, or a Fraction when a '/' follows it."""
     numerator = _parse_int(stream)
-    tok = stream.peek()
-    if tok is not None and tok.kind == "/":
+    if stream.peek().kind == "/":
         stream.next()
         denominator_tok = stream.peek()
         denominator = _parse_int(stream)
@@ -168,12 +176,12 @@ def _parse_rational(stream: _Stream) -> Fraction:
                 "division by zero", denominator_tok.line, denominator_tok.column
             )
         return Fraction(numerator, denominator)
-    return Fraction(numerator)
+    return numerator
 
 
 def _parse_inverse(stream: _Stream) -> bool:
     """Read an optional '^-1' suffix; True when there was one."""
-    if (tok := stream.peek()) is None or tok.kind != "^":
+    if stream.peek().kind != "^":
         return False
     stream.next()
     stream.expect("-", "'^-1'")
@@ -198,9 +206,9 @@ def _parse_algebra_decl(stream: _Stream, ring: Ring) -> CoefficientAlgebra:
     tok = stream.expect("ident", "an algebra kind")
     if tok.text == "free":
         names = []
-        while (nxt := stream.peek()) is not None and nxt.kind == "ident" and nxt.text != "hermitian":
+        while (nxt := stream.peek()).kind == "ident" and nxt.text != "hermitian":
             names.append(stream.next().text)
-        if (nxt := stream.peek()) is not None and nxt.kind == "ident" and nxt.text == "hermitian":
+        if (nxt := stream.peek()).kind == "ident" and nxt.text == "hermitian":
             raise ParseError(
                 "free algebras carry no hermitian structure; use 'group free k'",
                 nxt.line,
@@ -210,13 +218,13 @@ def _parse_algebra_decl(stream: _Stream, ring: Ring) -> CoefficientAlgebra:
     if tok.text == "matrix":
         n = _parse_int(stream)
         _bound_unit_words(n, f"matrix {n}")
-        if (nxt := stream.peek()) is not None and nxt.kind == "ident" and nxt.text == "hermitian":
+        if (nxt := stream.peek()).kind == "ident" and nxt.text == "hermitian":
             stream.next()
         return MatrixAlgebra(n, ring)
     if tok.text == "group":
         stream.expect_word("free")
         rank = _parse_int(stream)
-        if (nxt := stream.peek()) is not None and nxt.kind == "ident" and nxt.text == "hermitian":
+        if (nxt := stream.peek()).kind == "ident" and nxt.text == "hermitian":
             stream.next()
         return GroupRing(rank, ring)
     if tok.text == "split":
@@ -255,21 +263,20 @@ class _ExpressionParser:
         self.stream = stream
         self.algebra = algebra
         self.generators = generators
-        self.symbols = algebra.symbols()
+        self.symbols: dict | None = None  # the algebra's, built at the first non-generator
         self.extra = extra or {}
         self.depth = 0  # parentheses open around the current atom
 
     def parse(self) -> TensorElement:
         stream = self.stream
         negative = False
-        tok = stream.peek()
-        if tok is not None and tok.kind == "-":
+        if stream.peek().kind == "-":
             stream.next()
             negative = True
         total = self._term()
         if negative:
             total = -total
-        while (tok := stream.peek()) is not None and tok.kind in ("+", "-"):
+        while (tok := stream.peek()).kind in ("+", "-"):
             stream.next()
             term = self._term()
             total = total + (-term if tok.kind == "-" else term)
@@ -277,7 +284,7 @@ class _ExpressionParser:
 
     def _term(self) -> TensorElement:
         value = self._atom()
-        while (tok := self.stream.peek()) is not None and tok.kind == "*":
+        while self.stream.peek().kind == "*":
             self.stream.next()
             value = value * self._atom()
         return value
@@ -285,7 +292,7 @@ class _ExpressionParser:
     def _atom(self) -> TensorElement:
         stream = self.stream
         tok = stream.peek()
-        if tok is None:
+        if tok is _END:
             raise ParseError("unexpected end of expression")
         if tok.kind == "number":
             return TensorElement.from_scalar(self.algebra, self._scalar())
@@ -321,11 +328,13 @@ class _ExpressionParser:
             ) from None
 
     def _resolve(self, tok: Token) -> TensorElement:
-        nxt = self.stream.peek()
-        if tok.text == "E" and isinstance(self.algebra, MatrixAlgebra) and nxt and nxt.kind == "(":
-            return TensorElement.from_algebra(self.algebra.element(self._matrix_unit()))
+        alg = self.algebra
+        if tok.text == "E" and isinstance(alg, MatrixAlgebra) and self.stream.peek().kind == "(":
+            return TensorElement.from_algebra(alg.element(self._matrix_unit()))
         if tok.text in self.generators:
-            return TensorElement.generator(self.algebra, tok.text)
+            return TensorElement.generator(alg, tok.text)
+        if self.symbols is None:
+            self.symbols = alg.symbols()
         if tok.text in self.symbols:
             return TensorElement.from_algebra(self.symbols[tok.text])
         if tok.text in self.extra:
@@ -369,13 +378,12 @@ class _ExpressionParser:
         while True:
             stream.expect("[")
             row = [self._scalar()]
-            while (tok := stream.peek()) is not None and tok.kind == ",":
+            while stream.peek().kind == ",":
                 stream.next()
                 row.append(self._scalar())
             stream.expect("]")
             rows.append(row)
-            tok = stream.peek()
-            if tok is not None and tok.kind == ",":
+            if stream.peek().kind == ",":
                 stream.next()
                 continue
             break
@@ -385,10 +393,15 @@ class _ExpressionParser:
             raise ParseError(
                 f"matrix literal is not {n} x {n}", open_tok.line, open_tok.column
             )
-        element = self.algebra.from_terms(
-            ((i + 1, j + 1), value)
-            for i, row in enumerate(rows)
-            for j, value in enumerate(row)
+        # the entries are ring scalars already, and each unit appears once
+        element = AlgebraElement(
+            self.algebra,
+            {
+                (i, j): value
+                for i, row in enumerate(rows, start=1)
+                for j, value in enumerate(row, start=1)
+                if value
+            },
         )
         return TensorElement.from_algebra(element)
 
@@ -404,7 +417,7 @@ def parse_dga(text: str) -> SemifreeDGA:
     diff_lines: dict[str, int] = {}
 
     stream.skip_separators()
-    while stream.peek() is not None:
+    while stream.peek() is not _END:
         tok = stream.expect("ident", "a statement")
         if tok.text == "ring":
             name = stream.expect("ident", "a ring name")
@@ -436,7 +449,7 @@ def parse_dga(text: str) -> SemifreeDGA:
             while not stream.at_statement_end():
                 option = stream.expect("ident", "'action' or 'link'")
                 if option.text == "action":
-                    action = _parse_rational(stream)
+                    action = Fraction(_parse_rational(stream))
                 elif option.text == "link":
                     link = (_parse_int(stream), _parse_int(stream))
                 else:
@@ -495,7 +508,7 @@ def _parse_assignments(
     values: dict[str, TensorElement] = {}
 
     stream.skip_separators()
-    while stream.peek() is not None:
+    while stream.peek() is not _END:
         tok = stream.expect("ident", "a statement")
         if tok.text == "target":
             decl_tokens = []
@@ -513,8 +526,7 @@ def _parse_assignments(
         elif tok.text == "coeff" or coeff_only:
             name = stream.expect("ident", "an algebra symbol") if tok.text == "coeff" else tok
             key = name.text
-            nxt = stream.peek()
-            if key == "E" and isinstance(source, MatrixAlgebra) and nxt and nxt.kind == "(":
+            if key == "E" and isinstance(source, MatrixAlgebra) and stream.peek().kind == "(":
                 key = source.word_str(_ExpressionParser(stream, source, set())._matrix_unit())
             if _parse_inverse(stream):
                 key += "^-1"
@@ -629,8 +641,7 @@ def parse_element(
         stream, dga.algebra, set(dga.names), substitutions or {}
     ).parse()
     stream.skip_separators()
-    if stream.peek() is not None:
-        tok = stream.peek()
+    if (tok := stream.peek()) is not _END:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
     return value
 

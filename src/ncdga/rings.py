@@ -63,13 +63,13 @@ class Ring:
         return self.p if self.kind == "Zp" else 0
 
     def coerce(self, value):
+        if type(value) is int:  # most scalars; an isinstance test of Fraction is an ABC check
+            return value % self.p if self.kind == "Zp" else value
         if self.kind == "Zp":
             if isinstance(value, Fraction):
                 return self.div(value.numerator % self.p, value.denominator % self.p)
             return int(value) % self.p
         if self.kind == "Q":
-            if type(value) is int:
-                return value
             if type(value) is not Fraction:
                 value = Fraction(value)  # strings, floats, other rationals
             return value.numerator if value.denominator == 1 else value
@@ -163,7 +163,9 @@ class Ring:
             return Z
         if name == "Q":
             return Q
-        if name.startswith("Z") and name[1:].isdigit():
+        # ASCII digits only, as for integer literals: str.isdigit also
+        # accepts superscripts and other scripts' digits
+        if name.startswith("Z") and name[1:].isascii() and name[1:].isdigit():
             try:
                 p = int(name[1:])
             except ValueError:  # past the interpreter's limit on digits converted by int()

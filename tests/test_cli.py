@@ -469,6 +469,23 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys, data, message)
         assert str(path) in captured.err
 
 
+@pytest.mark.parametrize(
+    "degree, column",
+    [("\u00b2", 11), ("\u0661", 11), ("1\u0661", 12)],
+    ids=["superscript", "arabic-indic", "after-ascii"],
+)
+def test_non_ascii_digits_are_usage_errors(tmp_path, capsys, degree, column):
+    """A degree written with digits other than ASCII 0-9 exits 2 with one
+    error line at the first such digit, for every command that reads it."""
+    path = tmp_path / "digits.dga"
+    path.write_text(XY_SOURCE.replace("gen x deg 0", f"gen x deg {degree}"), encoding="utf-8")
+    for argv in (["check", str(path)], ["homology", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unexpected character {degree[-1]!r} (line 5, column {column})\n"
+
+
 # recorded before case I and case II shared one label codec: the curved DGA
 # into matrix 2 over Q with two augmentations, and the commutator DGA with one
 M2_P = "target matrix 2 over Q\nx = [[0,1],[1,0]]\ny = [[0,1],[1,0]]\n"

@@ -397,3 +397,44 @@ def test_inverse_keys_must_read_minus_one(toy_h, suffix):
 def test_matrix_100_parses():
     dga = parse_dga("ring Q\nalgebra matrix 100\ngen a deg 1\ngen x deg 0\nd a = x\n")
     assert dga.algebra == MatrixAlgebra(100, dga.algebra.ring)
+
+
+@pytest.mark.parametrize(
+    "source, char, line, column",
+    [
+        ("ring Q\nalgebra free\ngen a deg ²\n", "²", 3, 11),
+        ("ring Q\nalgebra free\ngen a deg ١\n", "١", 3, 11),
+        ("ring Q\nalgebra free\ngen a deg 1١\n", "١", 3, 12),
+        ("ring Q\nalgebra free\ngen a deg 1 action 1/٣\n", "٣", 3, 22),
+        ("ring Q\nalgebra matrix २\n", "२", 2, 16),
+        ("ring Q\nalgebra free\ngen a deg 1\ngen x deg 0\nd a = ２*x\n", "２", 5, 7),
+    ],
+    ids=["superscript", "arabic-indic", "after-ascii", "denominator", "matrix-size", "fullwidth"],
+)
+def test_non_ascii_digits_are_unexpected_characters(source, char, line, column):
+    """Numbers are ASCII digits: str.isdigit's other digits are refused
+    where they stand, not read as a number."""
+    with pytest.raises(ParseError) as err:
+        parse_dga(source)
+    assert str(err.value) == f"unexpected character {char!r} (line {line}, column {column})"
+
+
+def test_non_ascii_digits_in_values_and_ring_names(xy_dga):
+    with pytest.raises(ParseError) as err:
+        parse_augmentation("target matrix 2 over Z2\nx = [[1,0],[0,١]]\n", xy_dga)
+    assert str(err.value) == "unexpected character '١' (line 2, column 15)"
+    for name in ("Z٣", "Z²"):
+        with pytest.raises(ParseError) as err:
+            parse_dga(f"ring {name}\nalgebra free\n")
+        assert str(err.value) == f"unknown ring {name!r} (line 1, column 6)"
+
+
+def test_non_ascii_letters_in_identifiers_keep_working():
+    """An identifier is a letter or '_' and then letters, digits and '_'
+    of any script; only numbers are restricted to ASCII."""
+    dga = parse_dga(
+        "ring Q\nalgebra free\ngen é deg 1\ngen x² deg 0\ngen Ω_١ deg 0\n"
+        "d é = x²*Ω_١ - 1\n"
+    )
+    assert dga.names == ("é", "x²", "Ω_١")
+    assert reparse(dga) == dga

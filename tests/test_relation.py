@@ -345,7 +345,9 @@ def test_inhomogeneous_inputs_are_extended_multilinearly(q_corpus, toy_h):
 
 def test_verify_builds_each_component_once_per_call(toy, toy_h, toy_h_augmentations, monkeypatch):
     """One verify call computes d^2 once, by one application of the Leibniz
-    d per generator, and builds one augmented component of it per arity."""
+    d per generator, and builds one augmented component of it per arity,
+    also when no arity has a candidate pattern and it checks every pattern
+    instead."""
     d_calls, builds = [], []
     leibniz, build = SemifreeDGA.d, ainfinity.augmented_components
 
@@ -360,6 +362,9 @@ def test_verify_builds_each_component_once_per_call(toy, toy_h, toy_h_augmentati
     monkeypatch.setattr(SemifreeDGA, "d", counting_d)
     monkeypatch.setattr(ainfinity, "augmented_components", counting_build)
     runs = [(toy, [Augmentation.trivial(toy)], "I", exhaustive) for exhaustive in (False, True)]
+    curved = parse_dga(CURVED_SOURCE)  # no differential contains a: the fallback runs
+    one = curved.algebra.unit()
+    runs.append((curved, [Augmentation(curved, {"x": one, "y": one})], "I", False))
     runs += [(toy_h, toy_h_augmentations[1:], case, False) for case in ("I", "II")]
     for dga, objects, case, exhaustive in runs:
         d_calls.clear()

@@ -30,11 +30,19 @@ the usual double sum it has only terms prefix . eps(d z) . suffix, which
 vanish as eps o d = 0; the relation checks reject maps that are not
 augmentations.  The checks run over the input patterns that could make a
 term nonzero, with the operation's own evaluator, so the report is exact.
-One verify call computes d^2 once for all its arities.  Only the checks on
-the relation's support, the generator patterns of its words, are
-evaluated; the others are counted.  Both evaluators keep only the words
-whose generators are the inputs' pattern, so a check off the support has
-a zero residual term by term.
+Only the checks on the relation's support, the generator patterns of its
+words, are evaluated; the others are counted.  Both evaluators keep only
+the words whose generators are the inputs' pattern, so a check off the
+support has a zero residual term by term.
+
+One verify call builds each piece of structure it reads once, and keeps
+none of it past the call: d^2, one relation per arity, the pattern
+matches of each augmentation tuple and arity with their index by the
+generator at each slot (shared by the arities through one dict), and the
+live pool, the decorating coefficients whose inputs are nonzero, which
+counts the checks of every pattern.  The matches are read off the
+distinct generator patterns of each differential, which the DGA keeps
+from its construction along with the length of its longest word.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import itertools
 from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement
-from .augmentation import Augmentation, _check_augmentations, _placements, augmented_components
+from .augmentation import Augmentation, _check_augmentations, augmented_components
 from .dga import SemifreeDGA
 from .errors import (
     ArityMismatchError,
@@ -201,9 +209,22 @@ def _pattern_matches(
 ) -> set[tuple[tuple[str, ...], str]]:
     """(input pattern, output generator) pairs for which the augmented
     arity-l operation can have a nonzero term: the survivors of every
-    placement.  Structural: a product that happens to vanish still
-    counts."""
-    return {(survivors, name) for name, *_, survivors in _placements(dga, augs, l)}
+    placement that :func:`augmented_components` reads, found on the
+    distinct generator patterns of the differential.  Structural: a
+    product that happens to vanish still counts."""
+    out = set()
+    for name, patterns in dga.word_patterns.items():
+        for gens in patterns:
+            for survivors in itertools.combinations(range(len(gens)), l):
+                block = 0
+                for pos, gen in enumerate(gens):
+                    if block < l and survivors[block] == pos:
+                        block += 1
+                    elif gen not in augs[block].values:
+                        break
+                else:
+                    out.add((tuple(gens[pos] for pos in survivors), name))
+    return out
 
 
 def _relation(
@@ -233,25 +254,30 @@ def candidate_patterns(
     arity l >= 1 at input i of an outer one (the l = 0 terms of d^2 sum to
     eps(d z) = 0, see :func:`_relation`).  Every other pattern vanishes
     term by term.  ``matches`` maps (augmentation tuple, arity) to the
-    pattern matches built so far; a caller checking several arities in one
-    call passes the same dict to each, so shared matches are built once.
-    An operation of arity above the longest word of d has no placement,
-    so only the splits whose inner arity l and outer arity n + 1 - l are
-    both at most that length are read."""
+    pattern matches built so far, and ((augmentation tuple, arity), slot)
+    to those matches indexed by their generator at that slot; a caller
+    checking several arities in one call passes the same dict to each, so
+    shared matches and indexes are built once.  An operation of arity above
+    the longest word of d has no placement, so only the splits whose inner
+    arity l and outer arity n + 1 - l are both at most that length are
+    read."""
     eps = tuple(augs)
     built = {} if matches is None else matches
     patterns: set[tuple[str, ...]] = set()
     longest = dga.max_word_arity()
     for l in range(max(1, n + 1 - longest), min(n, longest) + 1):
         for i in range(1, n + 2 - l):
-            keys = (eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)
-            for key in keys:
-                if key not in built:
-                    built[key] = _pattern_matches(dga, *key)
-            by_slot: dict[str, list[tuple[str, ...]]] = {}
-            for pat_out, _name in built[keys[1]]:
-                by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
-            for pat_in, name_in in built[keys[0]]:
+            inner, outer = (eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)
+            if inner not in built:
+                built[inner] = _pattern_matches(dga, *inner)
+            by_slot = built.get((outer, i))
+            if by_slot is None:
+                if outer not in built:
+                    built[outer] = _pattern_matches(dga, *outer)
+                by_slot = built[outer, i] = {}
+                for pat_out, _name in built[outer]:
+                    by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
+            for pat_in, name_in in built[inner]:
                 for pat_out in by_slot.get(name_in, ()):
                     patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
     return sorted(patterns)
@@ -283,18 +309,13 @@ def _inputs(alg, case: str, pattern: tuple[str, ...], coeffs) -> list:
     ] + [TensorElement.generator(alg, pattern[-1])]
 
 
-def _live_tuples(alg, case: str, pattern: tuple[str, ...], pool, slots: int) -> int:
-    """The number of pool tuples on ``pattern`` whose inputs are all
-    nonzero, the checks made on it.  Each input reads one pool element, so
-    a tuple is live exactly when each of its elements is, and the live
-    elements are read off the constant tuples.  Generators are only
-    labels here, so the number is the same for every pattern."""
-    live = [
-        b
-        for b in pool
-        if not any(m.is_zero() for m in _inputs(alg, case, pattern, (b,) * slots))
-    ]
-    return len(live) ** slots if live else 0
+def _live_pool(alg, case: str, generator: str, pool) -> list:
+    """The pool elements on which a check's inputs are all nonzero.  Each
+    input reads one pool element, so a pool tuple is live exactly when
+    each of its elements is, and the live elements are read off the
+    one-slot checks on any generator: generators are only labels here."""
+    pattern = (generator,) * (1 if case == "I" else 2)
+    return [b for b in pool if not any(m.is_zero() for m in _inputs(alg, case, pattern, (b,)))]
 
 
 # the largest max_arity that verify_ainfty accepts
@@ -345,13 +366,13 @@ def verify_ainfty(
         # every check's inputs are generators, so a run would pass with none
         raise ArityMismatchError("the DGA has no generators, so there are no inputs to check")
     alg = dga.algebra
-    pool = default_coeff_pool(alg)
     report = Report(f"A-infinity relations, case {case}, arity <= {max_arity}")
     _check_augmentations(dga, objects, len(objects))
     if case == "II" and not alg.hermitian:
         # every run checks an arity-1 input, which the case II evaluator
         # rejects; counted checks would not reach it
         raise NotHermitianError(f"{alg} has no hermitian structure")
+    live = _live_pool(alg, case, dga.names[0], default_coeff_pool(alg))
     square = dga.d_squared()
     matches: dict = {}
     index = {name: i for i, name in enumerate(dga.names)}
@@ -375,14 +396,14 @@ def verify_ainfty(
             candidates = candidate_patterns(dga, eps, n, matches)
             evaluated = [pattern for pattern in candidates if pattern in support]
             total = len(candidates)
-        _check_arity(report, dga, case, pool, n, relation, evaluated, total)
+        _check_arity(report, dga, case, live, n, relation, evaluated, total)
     if not exhaustive and not report.checks:
         # no candidate pattern at any arity; a pass with no checks shows
         # nothing, so check every pattern, on the relations already built
         report = Report(report.title)
         for n, relation, support in arities:
             total = len(dga.names) ** n
-            _check_arity(report, dga, case, pool, n, relation, every_pattern(support), total)
+            _check_arity(report, dga, case, live, n, relation, every_pattern(support), total)
     return report
 
 
@@ -390,27 +411,24 @@ def _check_arity(
     report: Report,
     dga: SemifreeDGA,
     case: str,
-    pool,
+    live: Sequence,
     n: int,
     relation: Mapping[str, TensorElement],
     evaluated: Sequence[tuple[str, ...]],
     total: int,
 ) -> None:
-    """Record the arity-n checks of ``total`` patterns on ``report``:
+    """Record the arity-n checks of ``total`` patterns on ``report``, each
+    on every tuple of ``live`` pool elements (see :func:`_live_pool`):
     those on ``evaluated``, the patterns in the relation's support, one by
     one and in order; those on the other patterns as a count, since the
     checks on a pattern do not depend on its generators."""
     alg = dga.algebra
     joiner = ", " if case == "I" else " (x) "
     slots = n if case == "I" else n - 1
-    if total > len(evaluated):
-        live = _live_tuples(alg, case, dga.names[:1] * n, pool, slots)
-        report.checks += (total - len(evaluated)) * live
+    report.checks += (total - len(evaluated)) * len(live) ** slots
     for pattern in evaluated:
-        for coeffs in itertools.product(pool, repeat=slots):
+        for coeffs in itertools.product(live, repeat=slots):
             inputs = _inputs(alg, case, pattern, coeffs)
-            if any(m.is_zero() for m in inputs):
-                continue
             residual = _evaluate(dga, case, relation, inputs)
             if residual.is_zero():
                 report.record(True, "")  # a passing check formats no message

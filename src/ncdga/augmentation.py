@@ -76,18 +76,30 @@ class Augmentation:
         if x.algebra != self.dga.algebra:
             raise AlgebraMismatchError("element is over the wrong algebra")
         ring = self.target.ring
+        values, apply_word = self.values, self.morphism.apply_word
+        # a slot holding the empty word maps to the unit and is not multiplied in
+        units = self.dga.algebra.unit_words()
+        empty = units[0] if len(units) == 1 else None
         out: dict = {}
         for tw, c in x.terms.items():
-            value = self.morphism.apply_word(tw.coeffs[0])
-            for gen, slot in zip(tw.gens, tw.coeffs[1:]):
-                gen_value = self.values.get(gen)
-                if gen_value is None or value.is_zero():
+            # a generator without a value kills the word before any product
+            if not all(gen in values for gen in tw.gens):
+                continue
+            factors = []
+            for slot, gen in zip(tw.coeffs, tw.gens):
+                if slot != empty:
+                    factors.append(apply_word(slot))
+                factors.append(values[gen])
+            if tw.coeffs[-1] != empty:
+                factors.append(apply_word(tw.coeffs[-1]))
+            value = factors[0] if factors else self.target.unit()
+            for factor in factors[1:]:
+                if value.is_zero():
                     break
-                value = value * gen_value * self.morphism.apply_word(slot)
-            else:
-                c = ring.coerce(c)
-                for w, v in value.terms.items():
-                    ring.add_term(out, w, ring.mul(c, v))
+                value = value * factor
+            c = ring.coerce(c)
+            for w, v in value.terms.items():
+                ring.add_term(out, w, ring.mul(c, v))
         return AlgebraElement(self.target, out)
 
     def check(self) -> Report:

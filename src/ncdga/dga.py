@@ -161,14 +161,19 @@ class SemifreeDGA:
         return total
 
     def _validate(self):
+        """Check degrees and actions.  The distinct generator patterns of
+        each differential, which the checks read, are kept as
+        ``word_patterns``; the longest of them is :meth:`max_word_arity`."""
         for g in self.generators:
             if g.action is not None and g.action <= 0:
                 raise ActionViolationError(f"action of {g.name} must be positive")
+        self.word_patterns: dict[str, tuple[tuple[str, ...], ...]] = {}
         for name, value in self.differential.items():
             expected = self.reduce_degree(self.degree(name) - 1)
             # degree and action depend on a word's generators alone, and
             # words over a matrix algebra share them n^(arity + 1) times
-            patterns = dict.fromkeys(tw.gens for tw in value.terms)
+            patterns = tuple(dict.fromkeys(tw.gens for tw in value.terms))
+            self.word_patterns[name] = patterns
             for gens in patterns:
                 degree = self.word_degree(gens)
                 if degree != expected:
@@ -185,6 +190,9 @@ class SemifreeDGA:
                             f"d {name}: word action {action} does not drop below {bound}",
                             generator=name,
                         )
+        self._max_word_arity = max(
+            (len(gens) for patterns in self.word_patterns.values() for gens in patterns), default=0
+        )
 
     def d_of_generator(self, name: str) -> TensorElement:
         self.degree(name)
@@ -194,7 +202,7 @@ class SemifreeDGA:
         return self.d_of_generator(name).component(n)
 
     def max_word_arity(self) -> int:
-        return max((v.max_arity() for v in self.differential.values()), default=0)
+        return self._max_word_arity
 
     def sign_parity(self, gens: Iterable[str]) -> int:
         return sum(self.degree(g) for g in gens) % 2
@@ -206,15 +214,20 @@ class SemifreeDGA:
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("element is over the wrong algebra")
         ring = self.algebra.ring
+        differential, degrees = self.differential, self._degrees
         out: dict = {}
         for tw, c in x.terms.items():
-            for p in range(tw.arity):
-                value = self.differential.get(tw.gens[p])
-                if value is None:
-                    self.degree(tw.gens[p])
-                    continue
-                coeff = ring.neg(c) if self.sign_parity(tw.gens[:p]) else c
-                _splice(out, tw, coeff, p, value)
+            # the Koszul sign of letter p is the parity of the degrees in
+            # front of it, carried along the word
+            odd = 0
+            for p, gen in enumerate(tw.gens):
+                degree = degrees.get(gen)
+                if degree is None:
+                    self.degree(gen)  # raises for an unknown generator
+                value = differential.get(gen)
+                if value is not None:
+                    _splice(out, tw, ring.neg(c) if odd else c, p, value)
+                odd ^= degree & 1
         return TensorElement(self.algebra, out)
 
     def d_squared(self) -> dict[str, TensorElement]:

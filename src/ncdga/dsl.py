@@ -523,6 +523,8 @@ def _parse_assignments(
                 raise ParseError(str(exc), decl_tokens[-1].line, decl_tokens[-1].column) from None
             sub = _Stream(decl_tokens[:-2] + [Token("newline", "", tok.line, 0)])
             target = _read_algebra_decl(sub, ring, tok)
+            # the declaration must be used up before its "over RING"
+            sub.end_statement()
         elif tok.text == "coeff" or coeff_only:
             name = stream.expect("ident", "an algebra symbol") if tok.text == "coeff" else tok
             key = name.text

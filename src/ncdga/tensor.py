@@ -332,19 +332,19 @@ def _splice(out: dict, tw: TensorWord, c, k: int, image: TensorElement) -> None:
     slots absorb the slots around that generator."""
     alg = image.algebra
     ring = alg.ring
-    left, right = tw.coeffs[k], tw.coeffs[k + 1]
+    mul_words, make = alg.mul_words, TensorWord._make
+    coeffs, gens = tw.coeffs, tw.gens
+    head, left, right, tail = coeffs[:k], coeffs[k], coeffs[k + 1], coeffs[k + 2 :]
+    gens_head, gens_tail = gens[:k], gens[k + 1 :]
     for iw, ic in image.terms.items():
-        first = alg.mul_words(left, iw.coeffs[0])
+        first = mul_words(left, iw.coeffs[0])
         if first is None:
             continue
         slots = (first,) + iw.coeffs[1:]
-        last = alg.mul_words(slots[-1], right)
+        last = mul_words(slots[-1], right)
         if last is None:
             continue
-        word = TensorWord(
-            tw.coeffs[:k] + slots[:-1] + (last,) + tw.coeffs[k + 2 :],
-            tw.gens[:k] + iw.gens + tw.gens[k + 1 :],
-        )
+        word = make((head + slots[:-1] + (last,) + tail, gens_head + iw.gens + gens_tail))
         ring.add_term(out, word, ring.mul(c, ic))
 
 

@@ -28,7 +28,10 @@ from ncdga import (
 )
 from ncdga.ainfinity import augmented_components, default_coeff_pool
 from ncdga.dga import SemifreeDGA
+from ncdga.errors import DegreeUnknownError
 from ncdga.tensor import TensorWord
+
+from test_relation import generated_dgas
 
 RINGS = [Z2, Zp(3), Q]
 
@@ -218,6 +221,27 @@ def test_leibniz_d_matches_the_prefix_suffix_loop(request, fixture):
     inputs += [dga.d_of_generator(a) * dga.generator(b) for a in dga.names for b in dga.names]
     for x in inputs:
         assert dga.d(x) == _old_d(dga, x)
+
+
+@pytest.mark.parametrize("ring", ["Z2", "Q"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_leibniz_d_matches_the_prefix_suffix_loop_on_generated_dgas(ring, data):
+    """The Koszul sign carried along each word against the parity of the
+    letters in front recomputed at every letter, on DGAs with odd
+    generators graded over Z and modulo 2, 4 and 6."""
+    dga, _augs = data.draw(generated_dgas((ring,)))
+    modulus = data.draw(st.sampled_from([0, 2, 4, 6]))
+    dga = SemifreeDGA(dga.algebra, dga.generators, dga.differential, modulus)
+    inputs = _words(dga, 1) + _words(dga, 2)
+    inputs += [dga.d_of_generator(name) for name in dga.names]
+    inputs += [dga.d_of_generator(a) * dga.generator(b) for a in dga.names for b in dga.names]
+    for x in inputs:
+        assert dga.d(x).terms == _old_d(dga, x).terms
+    stray = TensorElement.generator(dga.algebra, "stray")
+    for x in (stray, dga.generator("x1") * stray, stray * dga.generator("x1")):
+        with pytest.raises(DegreeUnknownError):
+            dga.d(x)
 
 
 @pytest.mark.parametrize("fixture", ["toy_h", "q_corpus"])

@@ -7,6 +7,7 @@ candidate patterns as a walk over the same block patterns."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from ncdga import (
     Augmentation,
@@ -24,6 +25,7 @@ from ncdga.homology import _prepare
 
 from conftest import TREFOIL_SOURCE
 from test_case2_components import _compositions, _xy_augmentations
+from test_relation import generated_dgas, variants
 
 
 def word_mu_case1(dga, inputs):
@@ -162,25 +164,57 @@ def test_mu_case1_matches_word_reference(toy, q_corpus, n):
 # -- candidate patterns ---------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_candidate_patterns_match_walk(
-    toy, toy_h, toy_h_augmentations, q_corpus, q_corpus_augmented, n
-):
+@pytest.fixture(scope="module")
+def candidate_cases(toy, toy_h, toy_h_augmentations, q_corpus, q_corpus_augmented):
+    """(DGA, augmentations) pairs whose tuples the candidate tests walk."""
     shifted, q_augs = _q_augmentations(q_corpus_augmented)
     toy_augs = [Augmentation.trivial(toy), Augmentation(toy, {"c4": toy.algebra.unit()})]
-    cases = [
+    return [
         (toy, toy_augs),
         (toy_h, toy_h_augmentations),
         (q_corpus, [Augmentation.trivial(q_corpus)]),
         (shifted, q_augs),
     ]
-    for dga, augs in cases:
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_candidate_patterns_match_walk(candidate_cases, n):
+    for dga, augs in candidate_cases:
         for eps in _tuples(augs, n):
             assert candidate_patterns(dga, eps, n) == walked_candidate_patterns(dga, eps, n)
             for l in range(1, n + 1):
                 assert _pattern_matches(dga, eps[: l + 1], l) == walked_pattern_matches(
                     dga, eps[: l + 1], l
                 )
+
+
+def test_shared_matches_give_the_fresh_candidates(candidate_cases):
+    """One matches dict, holding the matches and their indexes by slot,
+    shared by every arity and tuple on a DGA as verify_ainfty shares it."""
+    for dga, augs in candidate_cases:
+        shared: dict = {}
+        for n in range(1, 6):
+            for eps in _tuples(augs, n):
+                assert candidate_patterns(dga, eps, n, shared) == candidate_patterns(dga, eps, n)
+
+
+@settings(max_examples=8, deadline=None)
+@given(generated_dgas())
+def test_candidate_patterns_match_walk_on_generated_dgas(instance):
+    """Every tuple of the trivial map and the generated augmentation, on
+    the generated DGA and its broken copies; one matches dict is shared by
+    all calls on a DGA, as verify_ainfty shares it across arities."""
+    for dga, augs in variants(*instance):
+        shared: dict = {}
+        for n in range(1, 4):
+            for eps in itertools.product(augs, repeat=n + 1):
+                expected = walked_candidate_patterns(dga, eps, n)
+                assert candidate_patterns(dga, eps, n) == expected
+                assert candidate_patterns(dga, eps, n, shared) == expected
+                for l in range(1, n + 1):
+                    assert _pattern_matches(dga, eps[: l + 1], l) == walked_pattern_matches(
+                        dga, eps[: l + 1], l
+                    )
 
 
 def unpruned_candidate_patterns(dga, augs, n):

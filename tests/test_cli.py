@@ -486,6 +486,25 @@ def test_non_ascii_digits_are_usage_errors(tmp_path, capsys, degree, column):
         assert captured.err == f"error: unexpected character {degree[-1]!r} (line 5, column {column})\n"
 
 
+@pytest.mark.parametrize(
+    "decl, error",
+    [
+        ("matrix 2 3", "unexpected '3' at end of statement (line 1, column 17)"),
+        ("matrix 2 hermitian junk", "unexpected 'junk' at end of statement (line 1, column 27)"),
+    ],
+)
+def test_leftover_tokens_in_a_target_declaration_exit_2(
+    curved_files, tmp_path, capsys, decl, error
+):
+    """Tokens between a target algebra and its "over RING" are located like
+    a DGA file's leftover tokens, for every command that reads the file."""
+    curved, _one, _two = curved_files
+    aug = tmp_path / "leftover.aug"
+    aug.write_text(f"target {decl} over Q\nx = [[1,0],[0,1]]\ny = [[1,0],[0,1]]\n")
+    for argv in (["aug-check", curved, "--aug", str(aug)], ["homology", curved, "--aug", str(aug)]):
+        assert _run(argv, capsys) == (2, "", f"error: {error}\n")
+
+
 # recorded before case I and case II shared one label codec: the curved DGA
 # into matrix 2 over Q with two augmentations, and the commutator DGA with one
 M2_P = "target matrix 2 over Q\nx = [[0,1],[1,0]]\ny = [[0,1],[1,0]]\n"

@@ -381,6 +381,25 @@ def test_parse_errors_inside_an_algebra_declaration_keep_their_position(xy_dga):
     assert str(err.value).count("(line") == 1
 
 
+@pytest.mark.parametrize(
+    "decl, token, column",
+    [
+        ("matrix 2 3", "3", 17),
+        ("matrix 2 hermitian junk", "junk", 27),
+        ("free g1 g2 g3 3", "3", 22),
+    ],
+)
+def test_leftover_tokens_in_a_target_declaration_are_parse_errors(xy_dga, decl, token, column):
+    """A target declaration is read to its "over RING"; a token left
+    before it is reported as a DGA file reports one after its statement."""
+    source = f"target {decl} over Q\nx = 1\n"
+    with pytest.raises(ParseError, match=f"unexpected '{token}' at end of statement") as err:
+        parse_augmentation(source, xy_dga)
+    assert (err.value.line, err.value.column) == (1, column)
+    with pytest.raises(ParseError, match=f"unexpected '{token}' at end of statement"):
+        parse_coefficient_map(source, xy_dga.algebra)
+
+
 @pytest.mark.parametrize("suffix", ["^-7", "^-2", "^-01"])
 def test_inverse_keys_must_read_minus_one(toy_h, suffix):
     """A coefficient key takes the '^-1' of an expression and nothing else."""

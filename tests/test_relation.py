@@ -503,12 +503,13 @@ GENERATED_SCALARS = {"Z2": [1], "Q": [1, -1, 2, Fraction(1, 2)]}
 
 
 @st.composite
-def generated_dgas(draw):
-    """(DGA, augmentations): the base conjugated by one to three random
-    elementary automorphisms g -> g + w, w a word of the degree of g in the
-    other generators (a coefficient when g has degree 0), with the base's
-    augmentations pulled back along them (eps -> eps o phi)."""
-    ring = draw(st.sampled_from(sorted(GENERATED_SCALARS)))
+def generated_dgas(draw, rings=tuple(sorted(GENERATED_SCALARS))):
+    """(DGA, augmentations): the base over one of ``rings`` conjugated by
+    one to three random elementary automorphisms g -> g + w, w a word of
+    the degree of g in the other generators (a coefficient when g has
+    degree 0), with the base's augmentations pulled back along them
+    (eps -> eps o phi)."""
+    ring = draw(st.sampled_from(rings))
     dga = parse_dga(
         GENERATED_BASE.format(ring=ring, algebra=draw(st.sampled_from(GENERATED_ALGEBRAS)))
     )

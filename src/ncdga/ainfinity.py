@@ -51,7 +51,12 @@ import itertools
 from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement
-from .augmentation import Augmentation, _check_augmentations, augmented_components
+from .augmentation import (
+    Augmentation,
+    _check_augmentations,
+    _check_tuple,
+    augmented_components,
+)
 from .dga import SemifreeDGA
 from .errors import (
     ArityMismatchError,
@@ -70,38 +75,36 @@ from .tensor import (
 
 
 def _evaluate_case1(
-    dga: SemifreeDGA, components: Mapping[str, TensorElement], inputs: Sequence[DualElement]
+    alg, components: Mapping[str, TensorElement], inputs: Sequence[DualElement]
 ) -> DualElement:
     """Case I: the coefficient of c collects the slotwise evaluation of
-    the inputs on the arity-n component of c."""
+    the inputs on the arity-n component of c, all over ``alg``."""
     if len(inputs) < 1:
         raise ArityMismatchError("mu needs at least one input")
     for beta in inputs:
-        if beta.algebra != dga.algebra:
+        if beta.algebra != alg:
             raise ArityMismatchError("input functional over the wrong algebra")
-    return DualElement(
-        dga.algebra, {name: psi_eval(inputs, value) for name, value in components.items()}
-    )
+    return DualElement(alg, {name: psi_eval(inputs, value) for name, value in components.items()})
 
 
 def _evaluate_case2(
-    dga: SemifreeDGA, components: Mapping[str, TensorElement], x: TensorElement
+    alg, components: Mapping[str, TensorElement], x: TensorElement
 ) -> TensorElement:
     """Case II: the trace-pairing adjoint of the (nonzero) components."""
-    if not dga.algebra.hermitian:
-        raise NotHermitianError(f"{dga.algebra} has no hermitian structure")
+    if not alg.hermitian:
+        raise NotHermitianError(f"{alg} has no hermitian structure")
     if x.is_zero() or not components:
-        return TensorElement.zero(dga.algebra)
+        return TensorElement.zero(alg)
     return adjoint_formula(components, 0, 0, x)
 
 
-def _evaluate(dga: SemifreeDGA, case: str, components: Mapping[str, TensorElement], chains):
-    """The operation that reads ``components``, on one chain per input:
-    slot by slot on functionals in case I, the adjoint on the tensor
-    product of bimodule elements in case II."""
+def _evaluate(alg, case: str, components: Mapping[str, TensorElement], chains):
+    """The operation that reads ``components`` (over the algebra ``alg``),
+    on one chain per input: slot by slot on functionals in case I, the
+    adjoint on the tensor product of bimodule elements in case II."""
     if case == "I":
-        return _evaluate_case1(dga, components, chains)
-    return _evaluate_case2(dga, components, tensor_product(chains))
+        return _evaluate_case1(alg, components, chains)
+    return _evaluate_case2(alg, components, tensor_product(chains))
 
 
 def _case2_arity(dga: SemifreeDGA, x: TensorElement) -> int:
@@ -124,7 +127,7 @@ def mu_case1(dga: SemifreeDGA, inputs: Sequence[DualElement]) -> DualElement:
     exactly the words of arity n."""
     n = len(inputs)
     trivial = (Augmentation.trivial(dga),) * (n + 1)
-    return _evaluate_case1(dga, augmented_components(dga, trivial, n), inputs)
+    return _evaluate_case1(dga.algebra, augmented_components(dga, trivial, n), inputs)
 
 
 def curvature(dga: SemifreeDGA) -> DualElement:
@@ -142,7 +145,8 @@ def mu_eps_case1(
     """The augmented operation: the eps-augmented arity-n components of
     the differential (see :func:`augmented_components`) evaluated slot by
     slot on the inputs."""
-    return _evaluate_case1(dga, augmented_components(dga, augs, len(inputs)), inputs)
+    _check_tuple(dga, augs, len(inputs) + 1)
+    return _evaluate_case1(dga.algebra, augmented_components(dga, augs, len(inputs)), inputs)
 
 
 def mu_case2(dga: SemifreeDGA, x: TensorElement) -> TensorElement:
@@ -150,7 +154,7 @@ def mu_case2(dga: SemifreeDGA, x: TensorElement) -> TensorElement:
     augmented operation over the trivial augmentation."""
     n = _case2_arity(dga, x)
     trivial = (Augmentation.trivial(dga),) * (n + 1)
-    return _evaluate_case2(dga, augmented_components(dga, trivial, n), x)
+    return _evaluate_case2(dga.algebra, augmented_components(dga, trivial, n), x)
 
 
 def mu_eps_case2(
@@ -164,7 +168,8 @@ def mu_eps_case2(
     n = _case2_arity(dga, x)
     if not n:
         return TensorElement.zero(dga.algebra)
-    return _evaluate_case2(dga, augmented_components(dga, augs, n), x)
+    _check_tuple(dga, augs, n + 1)
+    return _evaluate_case2(dga.algebra, augmented_components(dga, augs, n), x)
 
 
 # -- relation checking ---------------------------------------------------
@@ -289,13 +294,13 @@ def ainfty_residual_case1(
     """The arity-n relation on the inputs; zero when the theorem holds.
     Its Leibniz signs are taken word by word, so inhomogeneous inputs are
     extended multilinearly."""
-    return _evaluate_case1(dga, _relation(dga, augs, len(inputs)), inputs)
+    return _evaluate_case1(dga.algebra, _relation(dga, augs, len(inputs)), inputs)
 
 
 def ainfty_residual_case2(
     dga: SemifreeDGA, augs: Sequence[Augmentation], inputs: Sequence[TensorElement]
 ) -> TensorElement:
-    return _evaluate_case2(dga, _relation(dga, augs, len(inputs)), tensor_product(inputs))
+    return _evaluate_case2(dga.algebra, _relation(dga, augs, len(inputs)), tensor_product(inputs))
 
 
 def _inputs(alg, case: str, pattern: tuple[str, ...], coeffs) -> list:
@@ -429,7 +434,7 @@ def _check_arity(
     for pattern in evaluated:
         for coeffs in itertools.product(live, repeat=slots):
             inputs = _inputs(alg, case, pattern, coeffs)
-            residual = _evaluate(dga, case, relation, inputs)
+            residual = _evaluate(alg, case, relation, inputs)
             if residual.is_zero():
                 report.record(True, "")  # a passing check formats no message
             else:

@@ -362,6 +362,18 @@ class SplitAlgebra(CoefficientAlgebra):
         return f"split {self.copies} {self.base.declaration()}"
 
 
+def term_product(algebra: CoefficientAlgebra, left: dict, right: dict) -> dict:
+    """The product of two term maps over ``algebra``, as a term map."""
+    ring, mul_words = algebra.ring, algebra.mul_words
+    product: dict = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            w = mul_words(w1, w2)
+            if w is not None:
+                ring.add_term(product, w, ring.mul(c1, c2))
+    return product
+
+
 def signed_sum(parts: Iterable[str]) -> str:
     """Join printed terms into ``a + b - c``; a negative term starts with
     '-'.  No terms print as 0."""
@@ -469,14 +481,7 @@ class AlgebraElement(Combination):
                 return NotImplemented  # tensor elements handle mixed products
             return self.scale(other)
         self._check(other)
-        alg, ring = self.algebra, self.algebra.ring
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = alg.mul_words(w1, w2)
-                if w is not None:
-                    ring.add_term(out, w, ring.mul(c1, c2))
-        return AlgebraElement(alg, out)
+        return AlgebraElement(self.algebra, term_product(self.algebra, self.terms, other.terms))
 
     def star(self) -> "AlgebraElement":
         alg = self.algebra
@@ -585,12 +590,21 @@ class CoefficientMorphism:
         images: dict,
         _split: int | None = None,
     ):
+        if source.ring != target.ring and source.ring.kind != "Z":
+            raise MorphismIllDefinedError(
+                f"no ring map from {source.ring.name} to {target.ring.name}:"
+                " only Z maps to every ring, any other ring only to itself"
+            )
         self.source = source
         self.target = target
         self.images = dict(images)
         self._cache: dict = {}
         self._split = _split
         self._identity = source == target and not images and _split is None
+        # the source's unit when it is one basis word (the empty word of a
+        # free or group algebra): its image is 1, and slot products skip it
+        units = source.unit_words()
+        self.unit_word = units[0] if len(units) == 1 else None
         if _split is None:
             self.check()
 
@@ -652,13 +666,15 @@ class CoefficientMorphism:
                 raise AlgebraMismatchError("image lives in the wrong algebra")
 
     def apply_word(self, word) -> AlgebraElement:
-        if self._identity:
-            return self.source.element(word)
+        """The image of a basis word, computed once per word and shared:
+        callers read it and never change it."""
         cached = self._cache.get(word)
         if cached is not None:
             return cached
         src, tgt = self.source, self.target
-        if self._split is not None:
+        if self._identity:
+            result = src.element(word)
+        elif self._split is not None:
             result = tgt.from_terms((((i, word), 1) for i in range(1, self._split + 1)))
         elif isinstance(src, MatrixAlgebra):
             result = self.images[word]

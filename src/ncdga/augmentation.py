@@ -1,20 +1,23 @@
 """Augmentations of a semifree DGA and the eps-augmented DGA they define.
 
 An augmentation eps conjugates the differential by phi(c) = c + eps(c):
-d^eps = phi o d o phi^-1.  It is built here, once: :func:`_prepare` checks
-the maps and moves them over their common target, and
-:func:`augmented_components` builds the arity-n part.  The A-infinity
-operations, their relations and the bilinearised complexes read these
-components, and :meth:`Augmentation.develop` sums them into the developed
-DGA."""
+d^eps = phi o d o phi^-1.  It is built here, once:
+:func:`augmented_components` reads the arity-n part straight off the
+source DGA's words.  Each word's letters are kept or replaced by their
+augmentation values, its coefficient words are passed through the
+coefficient morphism that the augmentations share, and its scalar is
+coerced into the target's ring; no DGA over the target is built.  The
+A-infinity operations, their relations and the bilinearised complexes read
+these components, :meth:`Augmentation.develop` sums them into the
+developed DGA, and :meth:`Augmentation.evaluate` is their arity-0 case."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import AlgebraElement, CoefficientMorphism
-from .dga import LinkGrading, SemifreeDGA, ncopy
+from .dga import LinkGrading, SemifreeDGA, _copy_name, ncopy
 from .errors import (
     AlgebraMismatchError,
     InvalidAugmentationError,
@@ -70,35 +73,15 @@ class Augmentation:
         return self.values.get(name, self.target.zero())
 
     def evaluate(self, x: TensorElement) -> AlgebraElement:
-        """Value of the induced unital algebra morphism on any element."""
-        # its own slot loop runs on the short source words; per complex-II check, arity-0
-        # components of the moved DGA took 2-10x as long, substitute 2-6x
+        """Value of the induced unital algebra morphism on any element: the
+        arity-0 case of the augmented components, every letter replaced by
+        its value and every coefficient word passed through the morphism."""
         if x.algebra != self.dga.algebra:
             raise AlgebraMismatchError("element is over the wrong algebra")
         ring = self.target.ring
-        values, apply_word = self.values, self.morphism.apply_word
-        # a slot holding the empty word maps to the unit and is not multiplied in
-        units = self.dga.algebra.unit_words()
-        empty = units[0] if len(units) == 1 else None
         out: dict = {}
-        for tw, c in x.terms.items():
-            # a generator without a value kills the word before any product
-            if not all(gen in values for gen in tw.gens):
-                continue
-            factors = []
-            for slot, gen in zip(tw.coeffs, tw.gens):
-                if slot != empty:
-                    factors.append(apply_word(slot))
-                factors.append(values[gen])
-            if tw.coeffs[-1] != empty:
-                factors.append(apply_word(tw.coeffs[-1]))
-            value = factors[0] if factors else self.target.unit()
-            for factor in factors[1:]:
-                if value.is_zero():
-                    break
-                value = value * factor
-            c = ring.coerce(c)
-            for w, v in value.terms.items():
+        for c, (slot,), _survivors in _placements((self,), 0, x.terms.items()):
+            for w, v in slot.items():
                 ring.add_term(out, w, ring.mul(c, v))
         return AlgebraElement(self.target, out)
 
@@ -124,14 +107,16 @@ class Augmentation:
     def develop(self) -> SemifreeDGA:
         """The developed DGA: coefficients changed to the target and the
         differential conjugated by c -> c + eps(c).  Its arity-n part is the
-        eps-augmented arity-n component (:func:`augmented_components`); the
-        arity-0 part eps(d c) vanishes, as ``self`` is an augmentation."""
-        base, (eps,) = _prepare(self.dga, [self])
-        differential = {name: TensorElement.zero(base.algebra) for name in base.names}
-        for n in range(1, base.max_word_arity() + 1):
-            for name, part in augmented_components(base, (eps,) * (n + 1), n).items():
+        eps-augmented arity-n component (:func:`augmented_components`), read
+        off the source words; the arity-0 part eps(d c) vanishes, as
+        ``self`` is an augmentation."""
+        dga = self.dga
+        require_augmentations(dga, [self])
+        differential = {name: TensorElement.zero(self.target) for name in dga.names}
+        for n in range(1, dga.max_word_arity() + 1):
+            for name, part in augmented_components(dga, (self,) * (n + 1), n).items():
                 differential[name] += part
-        return SemifreeDGA(base.algebra, base.generators, differential, base.modulus)
+        return SemifreeDGA(self.target, dga.generators, differential, dga.modulus)
 
     def __repr__(self):
         listed = ", ".join(f"{n} -> {v}" for n, v in sorted(self.values.items()))
@@ -152,14 +137,21 @@ def require_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation]) -> Non
             raise InvalidAugmentationError(str(check))
 
 
-def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
-    """Check that every entry is an augmentation of ``dga``, then move
-    everything over the (common) augmentation target."""
-    first = augs[0]
-    for aug in augs[1:]:
-        if aug.target != first.target or aug.morphism.images != first.morphism.images:
-            raise TargetMismatchError("augmentations do not share a coefficient map")
+def require_shared_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation]) -> None:
+    """:func:`require_augmentations`, after checking that the entries share
+    one coefficient morphism, as every complex and product needs."""
+    _shared_morphism(augs)
     require_augmentations(dga, augs)
+
+
+def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
+    """Check the entries (:func:`require_shared_augmentations`), then move
+    everything over the (common) augmentation target: the DGA with its
+    coefficients changed and the augmentations rebuilt over it.  The
+    mirror comparison mirrors this copy; everything else reads the
+    source words (:func:`augmented_components`)."""
+    require_shared_augmentations(dga, augs)
+    first = augs[0]
     if first.morphism.is_identity:
         return dga, list(augs)
     base = dga.change_coefficients(first.morphism)
@@ -169,7 +161,19 @@ def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
 # -- the eps-augmented components ---------------------------------------
 
 
+def _shared_morphism(augs: Sequence[Augmentation]) -> CoefficientMorphism:
+    """The coefficient morphism of every entry; raises unless they share one."""
+    first = augs[0].morphism
+    for aug in augs[1:]:
+        m = aug.morphism
+        if m is not first and (m.target != first.target or m.images != first.images):
+            raise TargetMismatchError("augmentations do not share a coefficient map")
+    return first
+
+
 def _check_tuple(dga: SemifreeDGA, augs: Sequence[Augmentation], length: int):
+    """The tuple of an A-infinity operation: ``length`` augmentations of
+    ``dga`` into its coefficient algebra itself."""
     if len(augs) != length:
         raise TupleLengthMismatchError(f"need {length} augmentations, got {len(augs)}")
     for aug in augs:
@@ -189,68 +193,81 @@ def _check_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation], length:
 
 
 def _placements(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
-) -> Iterator[tuple[str, TensorWord, object, list, tuple]]:
-    """Every way to read an arity-n operation off the differential (or off
-    ``images`` of the generators): for each word of d(generator) of arity
-    at least n and each choice of n survivor letters, (generator, word,
-    coefficient, letters, survivors), where ``letters`` is None at each
-    survivor and elsewhere the value of the letter under the augmentation
-    of its block, and ``survivors`` are the survivors' generators.
-    Placements in which a block's augmentation kills a letter are skipped."""
-    for name in dga.names:
-        image = dga.d_of_generator(name) if images is None else images[name]
-        for tw, coeff in image.terms.items():
-            for survivors in itertools.combinations(range(tw.arity), n):
-                letters: list = []
-                kept: list = []
-                block = 0
-                for pos, gen in enumerate(tw.gens):
-                    if block < n and survivors[block] == pos:
-                        letters.append(None)
-                        kept.append(gen)
-                        block += 1
-                        continue
-                    value = augs[block].values.get(gen)
-                    if value is None:
-                        break
-                    letters.append(value)
-                else:
-                    yield name, tw, coeff, letters, tuple(kept)
+    augs: Sequence[Augmentation], n: int, terms: Iterable[tuple[TensorWord, object]]
+) -> Iterator[tuple[object, list[dict], tuple]]:
+    """Every way to read an arity-n part off ``terms``, the (word,
+    coefficient) pairs of an element over the source algebra: for each word
+    of arity at least n and each choice of n survivor letters, every other
+    letter is replaced by its value under the augmentation of its block
+    (the number of survivors in front of it), and the placement yields
+    (coefficient, slots, survivors).  The slots are the word's
+    :func:`slot_products` through the augmentations' shared coefficient
+    morphism, the coefficient is coerced into the target's scalars, and
+    ``survivors`` are the survivors' generators.  Placements in which a
+    block's augmentation kills a letter, or a slot vanishes, are skipped."""
+    morphism = augs[0].morphism
+    coerce = morphism.target.ring.coerce
+    for tw, coeff in terms:
+        arity = len(tw.gens)
+        if arity < n:
+            continue
+        coeff = coerce(coeff)
+        for survivors in itertools.combinations(range(arity), n):
+            letters: list = []
+            kept: list = []
+            block = 0
+            for pos, gen in enumerate(tw.gens):
+                if block < n and survivors[block] == pos:
+                    letters.append(None)
+                    kept.append(gen)
+                    block += 1
+                    continue
+                value = augs[block].values.get(gen)
+                if value is None:
+                    break
+                letters.append(value)
+            else:
+                slots = slot_products(morphism, tw.coeffs, letters)
+                if slots:
+                    yield coeff, slots, tuple(kept)
 
 
 def augmented_components(
     dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, images: Mapping | None = None
 ) -> dict[str, TensorElement]:
     """The eps-augmented arity-n components of the differential (or of
-    ``images``): for each generator, the sum over its placements (see
-    :func:`_placements`) of the word with every non-survivor letter
-    replaced by its augmentation value.  ``augs`` has n + 1 entries, one
-    per block.  Generators whose component vanishes are left out.
+    ``images``), over the augmentations' common target: for each generator,
+    the sum over its placements (see :func:`_placements`) of the word with
+    every non-survivor letter replaced by its augmentation value and every
+    coefficient word by its image.  ``augs`` has n + 1 entries, one per
+    block, sharing one coefficient morphism.  Generators whose component
+    vanishes are left out.
 
-    A placement is built by :func:`slot_products`: the algebra factors
-    between consecutive survivors multiply into n + 1 slots (a placement
-    stops at the first slot that vanishes), and the placement adds the
-    outer product of the slots' terms, with the survivors as generators.
-    Writing a survivor as the sum of u g v over pairs of unit words would
-    give the same element, since the unit words sum to 1:
-    a (sum u g v) b = a g b."""
-    _check_tuple(dga, augs, n + 1)
-    alg = dga.algebra
-    ring = alg.ring
-    components: dict[str, dict] = {}
-    for name, tw, coeff, letters, survivors in _placements(dga, augs, n, images):
-        slots = slot_products(alg, tw, letters)
-        if not slots:
-            continue
-        terms = components.setdefault(name, {})
-        for choice in itertools.product(*(s.items() for s in slots)):
-            c = coeff
-            for _w, v in choice:
-                c = ring.mul(c, v)
-            word = TensorWord(tuple(w for w, _v in choice), survivors)
-            ring.add_term(terms, word, c)
-    return {name: TensorElement(alg, terms) for name, terms in components.items() if terms}
+    A placement adds the outer product of its slots' terms, with the
+    survivors as generators.  Writing a survivor as the sum of u g v over
+    pairs of unit words would give the same element, since the unit words
+    sum to 1: a (sum u g v) b = a g b.  So the components are those of the
+    DGA with its coefficients changed (:meth:`SemifreeDGA.change_coefficients`)
+    under the augmentations rebuilt over it, as term maps: the product of
+    a word's slot images is the sum that the changed words spell out."""
+    if len(augs) != n + 1:
+        raise TupleLengthMismatchError(f"need {n + 1} augmentations, got {len(augs)}")
+    target = _shared_morphism(augs).target
+    ring = target.ring
+    components: dict[str, TensorElement] = {}
+    for name in dga.names:
+        image = dga.d_of_generator(name) if images is None else images[name]
+        terms: dict = {}
+        for coeff, slots, survivors in _placements(augs, n, image.terms.items()):
+            for choice in itertools.product(*(s.items() for s in slots)):
+                c = coeff
+                for _w, v in choice:
+                    c = ring.mul(c, v)
+                word = TensorWord(tuple(w for w, _v in choice), survivors)
+                ring.add_term(terms, word, c)
+        if terms:
+            components[name] = TensorElement(target, terms)
+    return components
 
 
 def ncopy_augmentation(
@@ -268,7 +285,7 @@ def ncopy_augmentation(
     n = len(augs)
     copied, grading = ncopy(base, n)
     values = {
-        f"{name}_{i}{i}": augs[i - 1].values[name]
+        _copy_name(name, i, i, n): augs[i - 1].values[name]
         for i in range(1, n + 1)
         for name in augs[i - 1].values
     }

@@ -406,8 +406,12 @@ class SemifreeDGA:
 # -- free n-copies ------------------------------------------------------
 
 
-def _copy_name(name: str, i: int, j: int) -> str:
-    return f"{name}_{i}{j}"
+def _copy_name(name: str, i: int, j: int, n: int) -> str:
+    """The name of the copy c_ij of ``name`` in the n-copy: name_ij while
+    n <= 10, where the indices can be read back (only 10 has two digits),
+    and name_i_j from n = 11 on, where name_111 would be both (1, 11) and
+    (11, 1)."""
+    return f"{name}_{i}{j}" if n <= 10 else f"{name}_{i}_{j}"
 
 
 def ncopy(dga: SemifreeDGA, n: int) -> tuple[SemifreeDGA, LinkGrading]:
@@ -421,7 +425,7 @@ def ncopy(dga: SemifreeDGA, n: int) -> tuple[SemifreeDGA, LinkGrading]:
     if n < 1:
         raise NcdgaError("n-copy needs n >= 1")
     generators = [
-        Generator(_copy_name(g.name, i, j), g.degree, g.action, (i, j))
+        Generator(_copy_name(g.name, i, j, n), g.degree, g.action, (i, j))
         for g in dga.generators
         for i in range(1, n + 1)
         for j in range(1, n + 1)
@@ -440,12 +444,12 @@ def ncopy(dga: SemifreeDGA, n: int) -> tuple[SemifreeDGA, LinkGrading]:
                     for middle in itertools.product(range(1, n + 1), repeat=m - 1):
                         labels = (i,) + middle + (j,)
                         gens = tuple(
-                            _copy_name(g, labels[k], labels[k + 1])
+                            _copy_name(g, labels[k], labels[k + 1], n)
                             for k, g in enumerate(tw.gens)
                         )
                         terms[TensorWord(tw.coeffs, gens)] = c
                 if terms:
-                    differential[_copy_name(name, i, j)] = TensorElement(dga.algebra, terms)
+                    differential[_copy_name(name, i, j, n)] = TensorElement(dga.algebra, terms)
     copied = SemifreeDGA(dga.algebra, generators, differential, dga.modulus)
     grading = copied.link_grading()
     assert grading is not None
@@ -485,7 +489,7 @@ def ncopy_projection_report(dga: SemifreeDGA, n: int) -> Report:
         base = TensorElement.generator(split_alg, name)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                copy = _copy_name(name, i, j)
+                copy = _copy_name(name, i, j, n)
                 pi_images[copy] = idempotents[i] * base * idempotents[j]
                 corners[copy] = (i, j)
 

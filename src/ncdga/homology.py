@@ -23,6 +23,13 @@ own core, and the move is the identity.  The results are exactly those of
 eliminating the whole complex, not merely isomorphic: see
 :class:`HomologyResult`.
 
+A complex or product takes the source DGA, for its generators and
+grading, together with the augmentations' common target, for the words
+and scalars of its labels.  Its augmented components are read off the
+source DGA's words through the augmentations' shared coefficient
+morphism (:func:`augmented_components`); no DGA over the target is
+built.
+
 The core differential is built in one pass.  The arity-one augmented
 component of d^eps(g) is a sum of terms c a0 h a1, one survivor h each,
 and the operation on a label reads only the terms whose survivor is the
@@ -44,7 +51,12 @@ from .ainfinity import _evaluate
 # these stay until a change to the benchmark moves that test
 from .ainfinity import mu_eps_case1, mu_eps_case2  # noqa: F401
 from .algebra import AlgebraElement
-from .augmentation import Augmentation, _prepare, augmented_components
+from .augmentation import (
+    Augmentation,
+    _prepare,
+    augmented_components,
+    require_shared_augmentations,
+)
 from .dga import SemifreeDGA
 from .errors import (
     InfiniteDimensionalCoefficientsError,
@@ -154,13 +166,16 @@ class ChainComplex:
     the first call of :meth:`matrix`.  Every other complex is the one block
     (1, 1) and its own core, at the identity positions.  The core's
     matrices are built in one pass over the augmented components (see the
-    module docstring)."""
+    module docstring).  ``dga`` is the source DGA, which gives the
+    generators and the grading; the labels' words and the scalars are those
+    of ``algebra``, the augmentations' common target."""
 
     def __init__(self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, core=None):
         self.dga = dga
         self.augs = augs
         self.case = case
-        self.field: Ring = dga.algebra.ring
+        self.algebra = augs[0].target
+        self.field: Ring = self.algebra.ring
         self.basis = basis  # degree -> list of labels (see _chain)
         self.diff = diff    # degree -> matrix (rows: degree+1 basis, cols: degree basis)
         if core is None:
@@ -172,7 +187,7 @@ class ChainComplex:
             self._check_squares()
             return
         self.core = core
-        n = dga.algebra.n
+        n = self.algebra.n
         self.blocks = [(a, d) for a in range(1, n + 1) for d in range(1, n + 1)]
         # degree -> block (a, d) -> full index of each corner label moved
         # into the block: (E_1b, g, E_c1) -> (E_ab, g, E_cd)
@@ -193,7 +208,7 @@ class ChainComplex:
 
     def label_str(self, label) -> str:
         """A label as printed: the generator between its words, units left out."""
-        word_str = self.dga.algebra.word_str
+        word_str = self.algebra.word_str
         parts = [word_str(label[0]), label[1]]
         if len(label) == 3:  # a case II label has a word on each side
             parts.append(word_str(label[2]))
@@ -242,7 +257,7 @@ class ChainComplex:
 
     def element_of(self, degree: int, vector: list):
         """Chain with the given coordinates, as a library element."""
-        return _chain(self.dga.algebra, self.case, zip(self.basis[degree], vector))
+        return _chain(self.algebra, self.case, zip(self.basis[degree], vector))
 
     def vector_of(self, degree: int, element) -> list:
         labels = self.basis[degree]
@@ -303,16 +318,18 @@ def bilinearized_complex(
     the corner's columns are built, and the returned complex has the
     corner as its core (see :class:`ChainComplex`); its basis is still the
     full one."""
-    base, (a0, a1) = _prepare(dga, [e0, e1])
-    return _complex(base, a0, a1, case)
+    require_shared_augmentations(dga, [e0, e1])
+    return _complex(dga, e0, e1, case)
 
 
-def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -> ChainComplex:
-    """:func:`bilinearized_complex` of augmentations that :func:`_prepare`
-    has already checked and moved over ``base``."""
+def _complex(dga: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -> ChainComplex:
+    """:func:`bilinearized_complex` of augmentations of ``dga`` that share a
+    coefficient morphism and have been checked: the generators and grading
+    are the source DGA's, the words and scalars the target's, and the
+    arity-one components are read off the source words."""
     if case not in ("I", "II"):
         raise NcdgaError(f"unknown case {case!r}")
-    alg = base.algebra
+    alg = a0.target
     if not alg.ring.is_field:
         raise NcdgaError("homology needs field scalars (Q or Z/p)")
     dim = alg.dimension()
@@ -324,8 +341,8 @@ def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -
     morita = case == "II" and alg.kind == "matrix" and alg.n > 1
     basis: dict[int, list] = {}
     corner_basis: dict[int, list] = {}
-    for gen in base.generators:
-        degree = base.reduce_degree(gen.degree + 1)
+    for gen in dga.generators:
+        degree = dga.reduce_degree(gen.degree + 1)
         if case == "I":
             labels = [(w, gen.name) for w in words]
         else:
@@ -342,7 +359,7 @@ def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -
     # with the slots starred in case II (see the module docstring)
     star = alg.star_word if case == "II" else None
     terms_of: dict[str, list] = {}
-    for gen, value in augmented_components(base, (a0, a1), 1).items():
+    for gen, value in augmented_components(dga, (a0, a1), 1).items():
         for tw, c in value.terms.items():
             left, right = tw.coeffs
             if star is not None:
@@ -353,7 +370,7 @@ def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -
     core_basis = corner_basis if morita else basis
     diff: dict[int, list[list]] = {}
     for degree, labels in core_basis.items():
-        target_labels = core_basis.get(base.reduce_degree(degree + 1), [])
+        target_labels = core_basis.get(dga.reduce_degree(degree + 1), [])
         index = {label: i for i, label in enumerate(target_labels)}
         matrix = [[ring.zero] * len(labels) for _ in target_labels]
         for col, label in enumerate(labels):
@@ -374,9 +391,9 @@ def _complex(base: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -
                 row = matrix[index[out]]
                 row[col] = ring.add(row[col], c)
         diff[degree] = matrix
-    cx = ChainComplex(base, (a0, a1), case, core_basis, diff)
+    cx = ChainComplex(dga, (a0, a1), case, core_basis, diff)
     if morita:
-        return ChainComplex(base, (a0, a1), case, basis, {}, core=cx)
+        return ChainComplex(dga, (a0, a1), case, basis, {}, core=cx)
     return cx
 
 
@@ -528,21 +545,24 @@ def homology(cx: ChainComplex) -> HomologyResult:
 
 class HomologyProduct:
     """The degree-one-shifted product induced on homology by the arity-two
-    augmented operation, for a triple of augmentations."""
+    augmented operation, for a triple of augmentations sharing one
+    coefficient morphism; its complexes and components are read off the
+    source DGA's words, over the common target ``algebra``."""
 
     def __init__(self, dga: SemifreeDGA, e0, e1, e2, case: str = "I"):
         self.case = case
-        base, (a0, a1, a2) = _prepare(dga, [e0, e1, e2])
-        self.base = base
-        self.augs = (a0, a1, a2)
-        self.cx01 = _complex(base, a0, a1, case)
-        self.cx12 = _complex(base, a1, a2, case)
-        self.cx02 = _complex(base, a0, a2, case)
+        require_shared_augmentations(dga, [e0, e1, e2])
+        self.dga = dga
+        self.algebra = e0.target
+        self.augs = (e0, e1, e2)
+        self.cx01 = _complex(dga, e0, e1, case)
+        self.cx12 = _complex(dga, e1, e2, case)
+        self.cx02 = _complex(dga, e0, e2, case)
         self.h01 = homology(self.cx01)
         self.h12 = homology(self.cx12)
         self.h02 = homology(self.cx02)
         # the arity-two operation reads these for every product
-        self.components = augmented_components(base, self.augs, 2)
+        self.components = augmented_components(dga, self.augs, 2)
 
     def product_chain(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
         """The chain-level product of two cycles, as a cx02 vector."""
@@ -552,7 +572,7 @@ class HomologyProduct:
         cx01, cx12, cx02 = complexes
         x = cx01.element_of(deg_x, x_vec)
         y = cx12.element_of(deg_y, y_vec)
-        value = _evaluate(self.base, self.case, self.components, [x, y])
+        value = _evaluate(self.algebra, self.case, self.components, [x, y])
         degree = self.output_degree(deg_x, deg_y)
         if degree not in cx02.basis:
             if value.is_zero():
@@ -561,7 +581,7 @@ class HomologyProduct:
         return degree, cx02.vector_of(degree, value)
 
     def output_degree(self, deg_x: int, deg_y: int) -> int:
-        return self.base.reduce_degree(deg_x + deg_y)
+        return self.dga.reduce_degree(deg_x + deg_y)
 
     def product_class(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
         degree, vec = self.product_chain(deg_x, x_vec, deg_y, y_vec)
@@ -612,7 +632,9 @@ def mirror_compare(
     dga: SemifreeDGA, e0: Augmentation, e1: Augmentation, case: str = "II"
 ) -> Report:
     """Graded dimensions of the (e0, e1) complex match those of the mirror
-    DGA with the transposed augmentations in swapped order."""
+    DGA with the transposed augmentations in swapped order.  The DGA is
+    mirrored after its coefficients are changed to the target, so this
+    comparison alone builds the changed copy (:func:`_prepare`)."""
     base, (a0, a1) = _prepare(dga, [e0, e1])
     alg = base.algebra
     if alg.kind != "matrix" and alg.dimension() != 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import NcdgaError
 
@@ -37,6 +38,75 @@ def _is_prime(n: int) -> bool:
         pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s))
         for a in _PRIME_BASES
     )
+
+
+# -- rational arithmetic ----------------------------------------------------
+#
+# Fraction's operators dispatch on the operand types and normalise their
+# result a second time in Fraction.__new__.  These compute the lowest-terms
+# numerator and denominator with math.gcd (the formulas of the fractions
+# module) and build the result from its two slots.  Operands are canonical
+# scalars, ints and Fractions with denominator at least 2, and at least one
+# of the two is a Fraction: the Ring methods keep int operands to themselves.
+
+
+def _ratio(n: int, d: int):
+    """The canonical scalar n/d, for n/d in lowest terms with d > 0."""
+    if d == 1:
+        return n
+    r = object.__new__(Fraction)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _q_sum(na: int, da: int, nb: int, db: int):
+    """na/da + nb/db for two Fractions."""
+    g = gcd(da, db)
+    if g == 1:
+        return _ratio(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _ratio(t, s * db)
+    return _ratio(t // g2, s * (db // g2))
+
+
+def _q_add(a, b):
+    # an int plus a Fraction n/d is (a d + n)/d, already in lowest terms
+    if type(a) is int:
+        return _ratio(a * b._denominator + b._numerator, b._denominator)
+    if type(b) is int:
+        return _ratio(a._numerator + b * a._denominator, a._denominator)
+    return _q_sum(a._numerator, a._denominator, b._numerator, b._denominator)
+
+
+def _q_sub(a, b):
+    if type(a) is int:
+        return _ratio(a * b._denominator - b._numerator, b._denominator)
+    if type(b) is int:
+        return _ratio(a._numerator - b * a._denominator, a._denominator)
+    return _q_sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+
+
+def _q_mul(a, b):
+    if type(a) is int:
+        g = gcd(a, b._denominator)
+        return _ratio(a // g * b._numerator, b._denominator // g)
+    if type(b) is int:
+        g = gcd(b, a._denominator)
+        return _ratio(b // g * a._numerator, a._denominator // g)
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    g1, g2 = gcd(na, db), gcd(nb, da)
+    return _ratio((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+def _q_inv(a):
+    if type(a) is int:
+        return _ratio(1, a) if a > 0 else _ratio(-1, -a)
+    n, d = a._numerator, a._denominator
+    return _ratio(d, n) if n > 0 else _ratio(-d, -n)
 
 
 @dataclass(frozen=True)
@@ -99,14 +169,15 @@ class Ring:
         method call and a Fraction comparison."""
         return [(i, c) for i, c in enumerate(values) if c]
 
-    # Over Q, add, sub, mul and inv return canonical scalars: an int result
-    # (int operands) is kept, an integral Fraction becomes its numerator.
+    # Over Q, add, sub, mul and inv return canonical scalars (see _ratio);
+    # over Z every scalar is an int, which the same functions pass through.
 
     def add(self, a, b):
         if self.kind == "Zp":
             return (a + b) % self.p
-        r = a + b
-        return r if type(r) is int else (r.numerator if r.denominator == 1 else r)
+        if type(a) is int and type(b) is int:
+            return a + b
+        return _q_add(a, b)
 
     def add_term(self, terms: dict, key, value) -> None:
         """Add value at key of a sparse term map, in place; a key whose
@@ -121,8 +192,9 @@ class Ring:
     def sub(self, a, b):
         if self.kind == "Zp":
             return (a - b) % self.p
-        r = a - b
-        return r if type(r) is int else (r.numerator if r.denominator == 1 else r)
+        if type(a) is int and type(b) is int:
+            return a - b
+        return _q_sub(a, b)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "Zp" else -a
@@ -130,8 +202,9 @@ class Ring:
     def mul(self, a, b):
         if self.kind == "Zp":
             return (a * b) % self.p
-        r = a * b
-        return r if type(r) is int else (r.numerator if r.denominator == 1 else r)
+        if type(a) is int and type(b) is int:
+            return a * b
+        return _q_mul(a, b)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -139,8 +212,7 @@ class Ring:
         if self.kind == "Zp":
             return pow(a, -1, self.p)
         if self.kind == "Q":
-            r = 1 / Fraction(a)
-            return r.numerator if r.denominator == 1 else r
+            return _q_inv(a)
         if a in (1, -1):
             return a
         raise NcdgaError(f"{a} is not invertible in Z")

@@ -18,7 +18,14 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import AlgebraElement, CoefficientAlgebra, Combination, signed_sum
+from .algebra import (
+    AlgebraElement,
+    CoefficientAlgebra,
+    CoefficientMorphism,
+    Combination,
+    signed_sum,
+    term_product,
+)
 from .errors import (
     AlgebraMismatchError,
     ArityMismatchError,
@@ -226,32 +233,32 @@ class DualElement:
         return f"<{self}>"
 
 
-def slot_products(algebra: CoefficientAlgebra, tw: TensorWord, letters: Sequence) -> list[dict]:
-    """The slots of a word whose letters are kept (None in ``letters``) or
-    replaced by algebra elements: the algebra factors between consecutive
-    kept letters multiplied out, one term map per slot, so n kept letters
-    give n + 1 slots.  Returns [] as soon as a slot vanishes."""
-    ring, mul_words = algebra.ring, algebra.mul_words
-    one = ring.one
+def slot_products(morphism: CoefficientMorphism, words: Sequence, letters: Sequence) -> list[dict]:
+    """The slots of a word a0 c1 a1 ... cn an over the morphism's source,
+    whose letters are kept (None in ``letters``) or replaced by elements of
+    its target: each coefficient word aj is passed through the morphism
+    and the target factors between consecutive kept letters are multiplied
+    out, one term map per slot, so n kept letters give n + 1 slots.  The
+    source's unit word maps to 1 and is not multiplied in, so a slot holding
+    one letter value is that value's own term map.  Returns [] as soon as a
+    slot vanishes."""
+    algebra, image, unit_word = morphism.target, morphism.apply_word, morphism.unit_word
     slots: list[dict] = []
-    slot = {tw.coeffs[0]: one}
-    for value, word in zip(letters, tw.coeffs[1:]):
-        if value is None:
-            slots.append(slot)
-            slot = {word: one}
-            continue
-        product: dict = {}
-        for w1, c1 in slot.items():
-            for w2, c2 in value.terms.items():
-                w = mul_words(w1, w2)
-                if w is not None:
-                    w = mul_words(w, word)
-                    if w is not None:
-                        ring.add_term(product, w, ring.mul(c1, c2))
-        if not product:
+    slot = None  # the unit, with nothing multiplied in yet
+    for i, word in enumerate(words):
+        if i:
+            value = letters[i - 1]
+            if value is None:
+                slots.append(image(unit_word).terms if slot is None else slot)
+                slot = None
+            else:
+                slot = value.terms if slot is None else term_product(algebra, slot, value.terms)
+        if word != unit_word:
+            terms = image(word).terms
+            slot = terms if slot is None else term_product(algebra, slot, terms)
+        if slot is not None and not slot:
             return []
-        slot = product
-    slots.append(slot)
+    slots.append(image(unit_word).terms if slot is None else slot)
     return slots
 
 
@@ -271,6 +278,7 @@ def psi_eval(betas: Sequence[DualElement], element: TensorElement) -> AlgebraEle
         if beta.algebra != alg:
             raise AlgebraMismatchError("mixed algebras in psi evaluation")
     ring = alg.ring
+    identity = CoefficientMorphism.identity(alg)
     out: dict = {}
     for tw, c in element.terms.items():
         if tw.arity != n:
@@ -279,7 +287,7 @@ def psi_eval(betas: Sequence[DualElement], element: TensorElement) -> AlgebraEle
         if any(b is None for b in values):
             continue
         # every letter is replaced: one slot, or none once a product vanishes
-        for slot in slot_products(alg, tw, values):
+        for slot in slot_products(identity, tw.coeffs, values):
             for w, v in slot.items():
                 ring.add_term(out, w, ring.mul(c, v))
     return AlgebraElement(alg, out)

@@ -367,3 +367,21 @@ def test_output_degree_convention(toy):
 def test_arity_zero_rejected(toy):
     with pytest.raises(ArityMismatchError):
         mu_case1(toy, [])
+
+
+def test_operations_refuse_augmentations_outside_the_coefficients(xy_dga, aug_p):
+    """The components read any shared coefficient morphism; the operations
+    and their relations still need augmentations into the coefficients."""
+    message = "operations need augmentations into the coefficient algebra; change coefficients first"
+    x = TensorElement.generator(xy_dga.algebra, "x")
+    beta = DualElement.term(xy_dga.algebra.unit(), "x")
+    calls = [
+        lambda: mu_eps_case1(xy_dga, [aug_p, aug_p], [beta]),
+        lambda: mu_eps_case2(xy_dga, [aug_p, aug_p], x),
+        lambda: ainfty_residual_case1(xy_dga, [aug_p, aug_p], [beta]),
+        lambda: verify_ainfty(xy_dga, [aug_p], "I", 2),
+    ]
+    for call in calls:
+        with pytest.raises(TargetMismatchError) as info:
+            call()
+        assert str(info.value) == message

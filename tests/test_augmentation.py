@@ -114,6 +114,17 @@ def test_ncopy_augmentation_diagonal(toy_h, toy_h_augmentations):
         assert recovered == eps.values
 
 
+@pytest.mark.parametrize("n, sep", [(10, ""), (11, "_")])
+def test_ncopy_augmentation_names_its_values_as_ncopy_names_generators(xy_dga, n, sep):
+    """The diagonal values carry the n-copy's own generator names on both
+    sides of n = 10, where the naming scheme changes."""
+    one = Augmentation(xy_dga, {"x": xy_dga.algebra.unit(), "y": xy_dga.algebra.unit()})
+    copied, _grading, diag = ncopy_augmentation([one] * n, xy_dga)
+    expected = {f"{g}_{i}{sep}{i}" for g in "xy" for i in range(1, n + 1)}
+    assert set(diag.values) == expected and expected <= set(copied.names)
+    assert diag.check().ok
+
+
 def test_ncopy_augmentation_requires_shared_target(toy_h, toy_h_augmentations):
     other = MatrixAlgebra(2, Z2)
     morphism = CoefficientMorphism(

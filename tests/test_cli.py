@@ -642,3 +642,82 @@ def test_any_input_exits_0_1_or_2(tmp_path_factory, pair, dga_edits, aug_edits, 
     ]:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+# -- scalar rings of augmentation and coefficient-map targets ---------------
+
+THIRD_SOURCE = "ring Q\nalgebra free\ngrading mod 0\ngen a deg 1\ngen x deg 0\nd a = 1/3*x - 1\n"
+Z_XY_SOURCE = XY_SOURCE.replace("ring Z2", "ring Z")
+
+
+@pytest.mark.parametrize(
+    "source, aug, commands, pair",
+    [
+        # 1/3 has no image in Z3: this ended in a ZeroDivisionError traceback
+        (THIRD_SOURCE, "target free over Z3\nx = 1\n", ["aug-check"], "Q to Z3"),
+        # no ring map Z2 -> Z3, yet this passed and homology printed dimensions
+        (TREFOIL_SOURCE, "target free over Z3\na3 = 2\n", ["aug-check", "homology"], "Z2 to Z3"),
+        (TREFOIL_SOURCE, "target free over Q\na1 = 1\n", ["aug-check", "homology"], "Z2 to Q"),
+        (CURVED_SOURCE, "target matrix 2 over Z2\nx = 1\ny = 1\n", ["aug-check", "develop"], "Q to Z2"),
+        (CURVED_SOURCE, "target free over Z\nx = 1\ny = 1\n", ["aug-check", "homology"], "Q to Z"),
+    ],
+    ids=["Q-Z3", "Z2-Z3", "Z2-Q", "Q-Z2", "Q-Z"],
+)
+def test_targets_over_another_ring_exit_2(tmp_path, capsys, source, aug, commands, pair):
+    """Only Z maps to every ring and any other ring only to itself; a target
+    over another ring is refused where its coefficient map is built."""
+    dga_path, aug_path = tmp_path / "f.dga", tmp_path / "f.aug"
+    dga_path.write_text(source)
+    aug_path.write_text(aug)
+    expected = f"error: no ring map from {pair}: only Z maps to every ring, any other ring only to itself\n"
+    for command in commands:
+        assert _run([command, str(dga_path), "--aug", str(aug_path)], capsys) == (2, "", expected)
+
+
+def test_coefficient_maps_over_another_ring_exit_2(toy_file, tmp_path, capsys):
+    mapfile = tmp_path / "z3.map"
+    mapfile.write_text("target free over Z3\ng1 = 1\ng2 = 1\n")
+    code, out, err = _run(["coeffchange", toy_file, "--map", str(mapfile)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: no ring map from Z2 to Z3: only Z maps to every ring, any other ring only to itself\n"
+
+
+@pytest.mark.parametrize("ring", ["Z3", "Q"])
+def test_integer_dgas_move_into_every_ring(tmp_path, capsys, ring):
+    dga_path, aug_path = tmp_path / "z.dga", tmp_path / "z.aug"
+    dga_path.write_text(Z_XY_SOURCE)
+    minus = "2" if ring == "Z3" else "-1"
+    aug_path.write_text(f"target matrix 2 over {ring}\nx = [[1,1],[0,1]]\ny = [[1,{minus}],[0,1]]\n")
+    code, out, err = _run(["aug-check", str(dga_path), "--aug", str(aug_path)], capsys)
+    assert (code, err) == (0, "")
+    code, out, err = _run(["homology", str(dga_path), "--aug", str(aug_path), "--case", "II"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("total dimension: 16\n")
+
+
+# -- n-copy names -----------------------------------------------------------
+
+
+def _generator_names(text):
+    return [line.split()[1] for line in text.splitlines() if line.startswith("gen ")]
+
+
+def test_ncopy_names_keep_two_indices_up_to_ten(xy_file, capsys):
+    """name_ij up to n = 10, where the indices can be read back."""
+    code, out, err = _run(["ncopy", xy_file, "-n", "10"], capsys)
+    assert (code, err) == (0, "")
+    names = _generator_names(out)
+    assert len(names) == len(set(names)) == 300
+    assert names[:3] == ["a_11", "a_12", "a_13"]
+    assert {"a_110", "a_101", "a_1010", "x_99"} <= set(names)
+    assert "d a_1010 = 1 + x_101*y_110 + x_1010*y_1010 + x_102*y_210 + " in out
+
+
+def test_ncopy_names_separate_the_indices_from_eleven(xy_file, capsys):
+    """From n = 11 on, name_111 would be both (1, 11) and (11, 1)."""
+    code, out, err = _run(["ncopy", xy_file, "-n", "11"], capsys)
+    assert (code, err) == (0, "")
+    names = _generator_names(out)
+    assert len(names) == len(set(names)) == 363
+    assert {"a_1_11", "a_11_1", "a_11_11", "y_1_1"} <= set(names)
+    assert "gen a_1_11 deg 1 link 1 11" in out

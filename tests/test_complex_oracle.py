@@ -2,10 +2,12 @@
 representatives, against the constructions they replace.
 
 ``homology._complex`` builds each core matrix in one pass over the terms
-of the arity-one augmented components.  The oracle evaluates the operation
-on every basis label separately, one chain each, through
-``ainfinity._evaluate``: ``psi_eval`` in case I, ``adjoint_formula`` in
-case II.  ``HomologyResult.representative_strings`` reads each
+of the arity-one augmented components, read off the source DGA's words.
+The oracle moves the DGA and its augmentations over the target first
+(``_prepare``, which changes the coefficients), reads the components off
+the moved words, and evaluates the operation on every basis label
+separately, one chain each, through ``ainfinity._evaluate``: ``psi_eval``
+in case I, ``adjoint_formula`` in case II.  ``HomologyResult.representative_strings`` reads each
 representative off the support of its core representative; the oracle
 reads it off the dense full-basis vector."""
 
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from ncdga import Q, Z2, Zp, bilinearized_complex, homology
 from ncdga.ainfinity import _evaluate
-from ncdga.augmentation import augmented_components
+from ncdga.augmentation import _prepare, augmented_components
 from ncdga.homology import _chain, _coordinates
 
 from test_corner import DGA_SOURCES, _augmentations, _dga, _strings
@@ -28,20 +30,22 @@ Z3 = Zp(3)
 def per_column_matrix(cx, labels, target_labels, components):
     """The differential on ``labels`` into ``target_labels``: the
     operation evaluated on each label alone."""
-    alg = cx.dga.algebra
+    alg = cx.algebra
     ring = alg.ring
     index = {label: i for i, label in enumerate(target_labels)}
     matrix = [[ring.zero] * len(labels) for _ in target_labels]
     for col, label in enumerate(labels):
-        value = _evaluate(cx.dga, cx.case, components, [_chain(alg, cx.case, [(label, ring.one)])])
+        value = _evaluate(alg, cx.case, components, [_chain(alg, cx.case, [(label, ring.one)])])
         for label_out, c in _coordinates(cx.case, value):
             matrix[index[label_out]][col] = c
     return matrix
 
 
 def assert_matches_per_column(cx):
-    """The core's matrices and the full ones, on every label of each basis."""
-    components = augmented_components(cx.dga, cx.augs, 1)
+    """The core's matrices and the full ones, on every label of each basis,
+    against the components of the DGA with its coefficients changed."""
+    base, augs = _prepare(cx.dga, cx.augs)
+    components = augmented_components(base, augs, 1)
     for complex_ in {id(cx): cx, id(cx.core): cx.core}.values():
         for degree, labels in complex_.basis.items():
             target = complex_.basis.get(complex_._next(degree), [])

@@ -114,7 +114,7 @@ def full_complex(dga, e0, e1):
         matrix = [[ring.zero] * len(labels) for _ in target]
         for col, (u, gen, v) in enumerate(labels):
             chain = TensorElement(alg, {TensorWord((u, v), (gen,)): ring.one})
-            for tw, c in _evaluate_case2(base, components, chain).terms.items():
+            for tw, c in _evaluate_case2(alg, components, chain).terms.items():
                 matrix[index[(tw.coeffs[0], tw.gens[0], tw.coeffs[1])]][col] = c
         diff[degree] = matrix
     return ChainComplex(base, (a0, a1), "II", basis, diff)
@@ -151,10 +151,17 @@ class FullHomology:
         return solution[: len(reps)]
 
 
-def full_product_class(prod, h01, h12, h02, deg_x, x_vec, deg_y, y_vec):
+def full_components(prod):
+    """The arity-two components of the product's triple, read off the DGA
+    with its coefficients changed rather than off the source words."""
+    base, augs = _prepare(prod.dga, prod.augs)
+    return augmented_components(base, augs, 2)
+
+
+def full_product_class(prod, components, h01, h12, h02, deg_x, x_vec, deg_y, y_vec):
     x = h01.cx.element_of(deg_x, x_vec)
     y = h12.cx.element_of(deg_y, y_vec)
-    value = _evaluate_case2(prod.base, prod.components, x * y)
+    value = _evaluate_case2(prod.algebra, components, x * y)
     degree = prod.output_degree(deg_x, deg_y)
     if degree not in h02.cx.basis:
         assert value.is_zero()
@@ -267,6 +274,7 @@ def test_corner_product_table_matches_full_construction(ring, which):
     nonzero = 0
     for triple in _triples(e0, e1):
         prod = product_on_homology(dga, *triple, "II")
+        components = full_components(prod)
         h01, h12, h02 = (
             FullHomology(full_complex(dga, a, b))
             for a, b in [(triple[0], triple[1]), (triple[1], triple[2]), (triple[0], triple[2])]
@@ -277,7 +285,7 @@ def test_corner_product_table_matches_full_construction(ring, which):
                 for deg_y, ys in h12.representatives.items():
                     for j, y_vec in enumerate(ys):
                         expected[deg_x, i, deg_y, j] = full_product_class(
-                            prod, h01, h12, h02, deg_x, x_vec, deg_y, y_vec
+                            prod, components, h01, h12, h02, deg_x, x_vec, deg_y, y_vec
                         )
         table = prod.table()
         assert list(table) == list(expected)
@@ -297,6 +305,7 @@ def test_corner_product_table_samples_match_full_construction(ring, which):
     for triple in _triples(e0, e1)[:2]:
         prod = product_on_homology(dga, *triple, "II")
         table = prod.table()
+        components = full_components(prod)
         h01, h12, h02 = (
             FullHomology(full_complex(dga, a, b))
             for a, b in [(triple[0], triple[1]), (triple[1], triple[2]), (triple[0], triple[2])]
@@ -306,7 +315,10 @@ def test_corner_product_table_samples_match_full_construction(ring, which):
             deg_x, i, deg_y, j = key
             x_vec = h01.representatives[deg_x][i]
             y_vec = h12.representatives[deg_y][j]
-            assert table[key] == full_product_class(prod, h01, h12, h02, deg_x, x_vec, deg_y, y_vec)
+            expected = full_product_class(
+                prod, components, h01, h12, h02, deg_x, x_vec, deg_y, y_vec
+            )
+            assert table[key] == expected
             # the public per-pair product agrees with the table
             assert prod.product_class(deg_x, x_vec, deg_y, y_vec) == table[key]
 

@@ -85,11 +85,11 @@ def dual_degree(dga, m):
 def split_by_split_case1(dga, relation, inputs):
     total = DualElement.zero(dga.algebra)
     for l, i, inner_components, outer_components in relation:
-        inner = _evaluate_case1(dga, inner_components, inputs[i - 1 : i - 1 + l])
+        inner = _evaluate_case1(dga.algebra, inner_components, inputs[i - 1 : i - 1 + l])
         if inner.is_zero():
             continue
         outer_inputs = list(inputs[: i - 1]) + [inner] + list(inputs[i - 1 + l :])
-        outer = _evaluate_case1(dga, outer_components, outer_inputs)
+        outer = _evaluate_case1(dga.algebra, outer_components, outer_inputs)
         parity = sum(dual_degree(dga, m) for m in inputs[: i - 1]) % 2
         total = total + (outer.scale(-1) if parity else outer)
     return total
@@ -99,14 +99,14 @@ def split_by_split_case2(dga, relation, inputs):
     total = TensorElement.zero(dga.algebra)
     for l, i, inner_components, outer_components in relation:
         inner = _evaluate_case2(
-            dga, inner_components, tensor_product(inputs[i - 1 : i - 1 + l])
+            dga.algebra, inner_components, tensor_product(inputs[i - 1 : i - 1 + l])
         )
         if inner.is_zero():
             continue
         spliced = tensor_product(list(inputs[: i - 1]) + [inner] + list(inputs[i - 1 + l :]))
         if spliced.is_zero():
             continue
-        outer = _evaluate_case2(dga, outer_components, spliced)
+        outer = _evaluate_case2(dga.algebra, outer_components, spliced)
         parity = sum(dga.element_degree(m) or 0 for m in inputs[: i - 1]) % 2
         total = total + (outer.scale(-1) if parity else outer)
     return total
@@ -171,7 +171,7 @@ def evaluated_report(dga, objects, case, max_arity):
                 inputs = pool_inputs(alg, case, pattern, coeffs)
                 if any(m.is_zero() for m in inputs):
                     continue
-                residual = _evaluate(dga, case, relation, inputs)
+                residual = _evaluate(alg, case, relation, inputs)
                 listed = (", " if case == "I" else " (x) ").join(str(m) for m in inputs)
                 report.record(
                     residual.is_zero(), f"arity {n}, inputs {listed}: residual {residual}"

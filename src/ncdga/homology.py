@@ -30,27 +30,27 @@ source DGA's words through the augmentations' shared coefficient
 morphism (:func:`augmented_components`); no DGA over the target is
 built.
 
-The core differential is built in one pass.  The arity-one augmented
-component of d^eps(g) is a sum of terms c a0 h a1, one survivor h each,
-and the operation on a label reads only the terms whose survivor is the
-label's generator: case I sends w h to c a0 w a1 g, case II sends u h v
-to c (u a0*) g (a1* v), the trace-pairing adjoint.  So the terms are
-grouped by survivor once and each label scatters its group into its
-column; ainfinity's evaluators, which serve the products and the relation
-checks, give the same columns one label at a time.  A representative is
-kept as its core vector and its block, and printed from the core vector's
-nonzero entries; the full-basis vectors are built only on request.
+The augmented operations on chains are read off one term index per
+complex or product (:func:`_term_index`): the terms c a0 h1 a1 ... hn an
+of the arity-n augmented components under their survivors (h1, ..., hn).
+One label rule (:func:`_apply_terms`) applies them: case I sends
+(w1 h1, ..., wn hn) to c (a0 w1 a1 ... wn an) g, case II sends
+(u1 h1 v1, ..., un hn vn) to c (u1 a0*) g (an* vn) when every inner slot
+a_i is v_i u_(i+1), the trace-pairing adjoint of orthonormal words.  Each
+core label scatters its arity-one terms into its column of d (n = 1), and
+the bilinear product of two chains sums c x_i y_j over the arity-two terms
+of each label pair of their supports (n = 2).  A representative is kept as
+its core vector and its block, and printed from the core vector's nonzero
+entries; the full-basis vectors are built only on request.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .ainfinity import _evaluate
 # re-exported: the benchmark self-test reads ncdga.homology.mu_eps_case2, so
 # these stay until a change to the benchmark moves that test
 from .ainfinity import mu_eps_case1, mu_eps_case2  # noqa: F401
-from .algebra import AlgebraElement
 from .augmentation import (
     Augmentation,
     _prepare,
@@ -67,7 +67,6 @@ from .errors import (
 )
 from .report import Report
 from .rings import Ring
-from .tensor import DualElement, TensorElement, TensorWord
 
 
 # -- exact linear algebra over a field ------------------------------------
@@ -164,11 +163,10 @@ class ChainComplex:
     blocks (a, d) of its corner; only the corner's matrices are stored and
     squared, and the full block-diagonal matrix of a degree is assembled on
     the first call of :meth:`matrix`.  Every other complex is the one block
-    (1, 1) and its own core, at the identity positions.  The core's
-    matrices are built in one pass over the augmented components (see the
-    module docstring).  ``dga`` is the source DGA, which gives the
-    generators and the grading; the labels' words and the scalars are those
-    of ``algebra``, the augmentations' common target."""
+    (1, 1) and its own core, at the identity positions.  ``dga`` is the
+    source DGA, which gives the generators and the grading; the labels'
+    words and the scalars are those of ``algebra``, the augmentations'
+    common target."""
 
     def __init__(self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, core=None):
         self.dga = dga
@@ -176,7 +174,7 @@ class ChainComplex:
         self.case = case
         self.algebra = augs[0].target
         self.field: Ring = self.algebra.ring
-        self.basis = basis  # degree -> list of labels (see _chain)
+        self.basis = basis  # degree -> labels: (word, gen) in case I, (left, gen, right) in II
         self.diff = diff    # degree -> matrix (rows: degree+1 basis, cols: degree basis)
         if core is None:
             self.core = self
@@ -237,35 +235,34 @@ class ChainComplex:
             out[i] = c
         return out
 
+    def support(self, degree: int, vector: list) -> list:
+        """(label, c) for each nonzero entry of a vector of a degree."""
+        labels = self.basis[degree]
+        return [(labels[i], c) for i, c in self.field.support(vector)]
+
     def _split(self, degree: int, vector: list):
         """(block, core vector) for each block where the vector is nonzero."""
-        ring = self.field
         for block, positions in self._positions[degree].items():
             piece = [vector[i] for i in positions]
-            if any(not ring.is_zero(c) for c in piece):
+            if any(piece):  # scalars are false exactly when zero
                 yield block, piece
 
     def _check_squares(self):
+        """d^2 = 0, each column of d read against the next d's columns at its
+        nonzero entries only."""
+        ring = self.field
         for degree in self.degrees():
-            m1 = self.matrix(degree)
-            if not m1 or not self.matrix(self._next(degree)):
+            m1, m2 = self.matrix(degree), self.matrix(self._next(degree))
+            if not m1 or not m2:
                 continue
-            for col in range(len(self.basis[degree])):
-                image = self.apply_d(self._next(degree), [row[col] for row in m1])
-                if not all(self.field.is_zero(c) for c in image):
+            after = [ring.support(column) for column in zip(*m2)]
+            for col, column in enumerate(zip(*m1)):
+                image: dict = {}
+                for j, c in ring.support(column):
+                    for i, e in after[j]:
+                        ring.add_term(image, i, ring.mul(c, e))
+                if image:
                     raise NotAComplexError(f"d^2 != 0 out of degree {degree}, column {col}")
-
-    def element_of(self, degree: int, vector: list):
-        """Chain with the given coordinates, as a library element."""
-        return _chain(self.algebra, self.case, zip(self.basis[degree], vector))
-
-    def vector_of(self, degree: int, element) -> list:
-        labels = self.basis[degree]
-        index = {label: i for i, label in enumerate(labels)}
-        vec = [self.field.zero] * len(labels)
-        for label, c in _coordinates(self.case, element):
-            vec[index[label]] = c
-        return vec
 
     def apply_d(self, degree: int, vector: list) -> list:
         matrix = self.matrix(degree)
@@ -281,28 +278,43 @@ class ChainComplex:
         return out
 
 
-def _chain(alg, case: str, pairs):
-    """The chain sum of c * label over (label, c) pairs: in case I a
-    functional, the labels (word, generator) standing for word * generator;
-    in case II a bimodule element, the labels (left, generator, right)
-    standing for left generator right."""
-    add_term = alg.ring.add_term
-    if case == "I":
-        terms: dict = {}
-        for (word, gen), c in pairs:
-            add_term(terms.setdefault(gen, {}), word, c)
-        return DualElement(alg, {g: AlgebraElement(alg, t) for g, t in terms.items()})
-    out: dict = {}
-    for (left, gen, right), c in pairs:
-        add_term(out, TensorWord((left, right), (gen,)), c)
-    return TensorElement(alg, out)
+def _term_index(dga: SemifreeDGA, augs, case: str) -> dict[tuple, list]:
+    """The terms of the arity-n augmented components, n + 1 = len(augs), as
+    (g, slots, c) under their survivors: the slots are the outer slots a0
+    and an, starred in case II, and the inner ones (a1, ..., a_(n-1))."""
+    star = augs[0].target.star_word if case == "II" else (lambda word: word)
+    index: dict[tuple, list] = {}
+    for gen, value in augmented_components(dga, augs, len(augs) - 1).items():
+        for tw, c in value.terms.items():
+            a = tw.coeffs
+            index.setdefault(tw.gens, []).append((gen, (star(a[0]), a[1:-1], star(a[-1])), c))
+    return index
 
 
-def _coordinates(case: str, element) -> list:
-    """The (label, c) pairs of a chain of arity one, inverse to :func:`_chain`."""
+def _apply_terms(mul, case: str, terms: list, labels: tuple) -> list:
+    """(output label, c) for each indexed term of one survivor tuple on input
+    labels with those generators, by the module docstring's rule."""
+    out = []
     if case == "I":
-        return [((w, g), c) for g, b in element.terms.items() for w, c in b.terms.items()]
-    return [((tw.coeffs[0], tw.gens[0], tw.coeffs[1]), c) for tw, c in element.terms.items()]
+        w, more = labels[0][0], labels[1:]
+        for gen, (a0, inner, an), c in terms:
+            word = mul(a0, w)
+            for a, (x, _gen) in zip(inner, more) if inner else ():
+                if word is None or (word := mul(word, a)) is None:
+                    break
+                word = mul(word, x)
+            if word is not None and (word := mul(word, an)) is not None:
+                out.append(((word, gen), c))
+        return out
+    u, v = labels[0][0], labels[-1][2]
+    # the products v_i u_(i+1) that the inner slots must equal, none at arity one
+    inner = () if len(labels) == 1 else tuple(mul(x[2], y[0]) for x, y in zip(labels, labels[1:]))
+    for gen, (a0, middle, an), c in terms:
+        if middle == inner:
+            left, right = mul(u, a0), mul(an, v)
+            if left is not None and right is not None:
+                out.append(((left, gen, right), c))
+    return out
 
 
 def bilinearized_complex(
@@ -310,14 +322,10 @@ def bilinearized_complex(
 ) -> ChainComplex:
     """The complex carried by the arity-one augmented operation.
 
-    In case II over matrix n (n >= 2) the complex is n^2 copies of its
-    corner, the labels (E_1b, g, E_c1): the operation is the adjoint of
-    the augmented components, which multiplies the outer slots of a label
-    and nothing else, so d(E_a1 z E_1d) = E_a1 d(z) E_1d and the labels
-    (E_ab, g, E_cd) of each block (a, d) form a copy of the corner.  Only
-    the corner's columns are built, and the returned complex has the
-    corner as its core (see :class:`ChainComplex`); its basis is still the
-    full one."""
+    In case II over matrix n (n >= 2) d(E_a1 z E_1d) = E_a1 d(z) E_1d (see
+    the module docstring): only the corner's columns are built, and the
+    returned complex has the corner as its core (see :class:`ChainComplex`);
+    its basis is still the full one."""
     require_shared_augmentations(dga, [e0, e1])
     return _complex(dga, e0, e1, case)
 
@@ -355,18 +363,7 @@ def _complex(dga: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) ->
 
     if case == "II" and not alg.hermitian:
         raise NotHermitianError(f"{alg} has no hermitian structure")
-    # the terms c a0 h a1 of each d^eps(g), grouped by their survivor h,
-    # with the slots starred in case II (see the module docstring)
-    star = alg.star_word if case == "II" else None
-    terms_of: dict[str, list] = {}
-    for gen, value in augmented_components(dga, (a0, a1), 1).items():
-        for tw, c in value.terms.items():
-            left, right = tw.coeffs
-            if star is not None:
-                left, right = star(left), star(right)
-            terms_of.setdefault(tw.gens[0], []).append((left, gen, right, c))
-
-    ring, mul = alg.ring, alg.mul_words
+    terms, ring = _term_index(dga, (a0, a1), case), alg.ring
     core_basis = corner_basis if morita else basis
     diff: dict[int, list[list]] = {}
     for degree, labels in core_basis.items():
@@ -374,22 +371,11 @@ def _complex(dga: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) ->
         index = {label: i for i, label in enumerate(target_labels)}
         matrix = [[ring.zero] * len(labels) for _ in target_labels]
         for col, label in enumerate(labels):
-            for left, gen, right, c in terms_of.get(label[1], ()):
-                if star is None:
-                    # case I: w h -> a0 w a1 g
-                    word = mul(left, label[0])
-                    word = None if word is None else mul(word, right)
-                    if word is None:
-                        continue
-                    out = (word, gen)
-                else:
-                    # case II: u h v -> (u a0*) g (a1* v)
-                    u, v = mul(label[0], left), mul(right, label[2])
-                    if u is None or v is None:
-                        continue
-                    out = (u, gen, v)
-                row = matrix[index[out]]
-                row[col] = ring.add(row[col], c)
+            found = terms.get((label[1],))
+            if found:
+                for out, c in _apply_terms(alg.mul_words, case, found, (label,)):
+                    row = matrix[index[out]]
+                    row[col] = ring.add(row[col], c)
         diff[degree] = matrix
     cx = ChainComplex(dga, (a0, a1), case, core_basis, diff)
     if morita:
@@ -430,9 +416,8 @@ class HomologyResult:
             span = Span(ring, len(core.basis[degree]))
             for prev in degrees:
                 if core._next(prev) == degree:
-                    matrix = core.matrix(prev)
-                    for col in range(len(core.basis[prev])):
-                        span.add([row[col] for row in matrix])
+                    for column in zip(*core.matrix(prev)):
+                        span.add(column)
             self.image_spans[degree] = span
         self.core_representatives: dict[int, list[list]] = {}
         self.dims: dict[int, int] = {}
@@ -546,7 +531,7 @@ def homology(cx: ChainComplex) -> HomologyResult:
 class HomologyProduct:
     """The degree-one-shifted product induced on homology by the arity-two
     augmented operation, for a triple of augmentations sharing one
-    coefficient morphism; its complexes and components are read off the
+    coefficient morphism; its complexes and its term index are read off the
     source DGA's words, over the common target ``algebra``."""
 
     def __init__(self, dga: SemifreeDGA, e0, e1, e2, case: str = "I"):
@@ -555,39 +540,38 @@ class HomologyProduct:
         self.dga = dga
         self.algebra = e0.target
         self.augs = (e0, e1, e2)
-        self.cx01 = _complex(dga, e0, e1, case)
-        self.cx12 = _complex(dga, e1, e2, case)
-        self.cx02 = _complex(dga, e0, e2, case)
-        self.h01 = homology(self.cx01)
-        self.h12 = homology(self.cx12)
-        self.h02 = homology(self.cx02)
-        # the arity-two operation reads these for every product
-        self.components = augmented_components(dga, self.augs, 2)
+        pairs = ((e0, e1), (e1, e2), (e0, e2))
+        self.cx01, self.cx12, self.cx02 = (_complex(dga, a, b, case) for a, b in pairs)
+        self.h01, self.h12, self.h02 = (homology(cx) for cx in (self.cx01, self.cx12, self.cx02))
+        # the arity-two terms under their survivor pairs, read by every product
+        self.terms = _term_index(dga, self.augs, case)
 
     def product_chain(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
         """The chain-level product of two cycles, as a cx02 vector."""
-        return self._chain((self.cx01, self.cx12, self.cx02), deg_x, x_vec, deg_y, y_vec)
-
-    def _chain(self, complexes, deg_x, x_vec, deg_y, y_vec):
-        cx01, cx12, cx02 = complexes
-        x = cx01.element_of(deg_x, x_vec)
-        y = cx12.element_of(deg_y, y_vec)
-        value = _evaluate(self.algebra, self.case, self.components, [x, y])
+        value = self._chain(self.cx01.support(deg_x, x_vec), self.cx12.support(deg_y, y_vec))
         degree = self.output_degree(deg_x, deg_y)
-        if degree not in cx02.basis:
-            if value.is_zero():
-                return degree, []
-            raise NcdgaError("product landed outside the complex")
-        return degree, cx02.vector_of(degree, value)
+        return degree, _vector(self.cx02, degree, value)
+
+    def _chain(self, xs: list, ys: list) -> dict:
+        """The product of two chains, given and returned as (label, c) terms:
+        it is bilinear, so the label pairs of their supports add up."""
+        mul, case, terms, ring = self.algebra.mul_words, self.case, self.terms, self.algebra.ring
+        value: dict = {}
+        for x, cx in xs:
+            for y, cy in ys:
+                found = terms.get((x[1], y[1]))
+                if found:
+                    cxy = ring.mul(cx, cy)
+                    for label, c in _apply_terms(mul, case, found, (x, y)):
+                        ring.add_term(value, label, ring.mul(cxy, c))
+        return value
 
     def output_degree(self, deg_x: int, deg_y: int) -> int:
         return self.dga.reduce_degree(deg_x + deg_y)
 
     def product_class(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
         degree, vec = self.product_chain(deg_x, x_vec, deg_y, y_vec)
-        if degree not in self.cx02.basis:
-            return degree, []
-        return degree, self.h02.class_of(degree, vec)
+        return degree, (self.h02.class_of(degree, vec) if degree in self.cx02.basis else [])
 
     def table(self):
         """Products of all representative pairs, in homology coordinates.
@@ -598,14 +582,20 @@ class HomologyProduct:
         then it is the product of their core classes moved to block
         (a, d').  A complex of one block is the block (1, 1)."""
         h01, h12, h02 = self.h01, self.h12, self.h02
-        cores = (self.cx01.core, self.cx12.core, self.cx02.core)
+        core02 = self.cx02.core
+        xs, ys = (
+            {d: [h.cx.core.support(d, z) for z in zs] for d, zs in h.core_representatives.items()}
+            for h in (h01, h12)
+        )
         products = {}
-        for deg_x, xs in h01.core_representatives.items():
-            for k, x_vec in enumerate(xs):
-                for deg_y, ys in h12.core_representatives.items():
-                    for l, y_vec in enumerate(ys):
-                        degree, vec = self._chain(cores, deg_x, x_vec, deg_y, y_vec)
-                        coords = h02.core_class_of(degree, vec) if degree in cores[2].basis else []
+        for deg_x, x_terms in xs.items():
+            for k, x in enumerate(x_terms):
+                for deg_y, y_terms in ys.items():
+                    for l, y in enumerate(y_terms):
+                        degree, value = self.output_degree(deg_x, deg_y), self._chain(x, y)
+                        coords = []  # a zero product keeps the zero coordinates below
+                        if value:
+                            coords = h02.core_class_of(degree, _vector(core02, degree, value))
                         products[deg_x, k, deg_y, l] = degree, coords
         zero = self.cx02.field.zero
         out = {}
@@ -622,6 +612,15 @@ class HomologyProduct:
                                 full[slot[block, m]] = c
                         out[deg_x, i, deg_y, j] = degree, full
         return out
+
+
+def _vector(cx: ChainComplex, degree: int, value: dict) -> list:
+    """A product's terms, taken out of ``value``, as a vector of ``cx``;
+    they must sum to zero in a degree without labels."""
+    vec = [value.pop(label, cx.field.zero) for label in cx.basis.get(degree, ())]
+    if value:
+        raise NcdgaError("product landed outside the complex")
+    return vec
 
 
 def product_on_homology(dga: SemifreeDGA, e0, e1, e2, case: str = "I") -> HomologyProduct:

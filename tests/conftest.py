@@ -1,11 +1,14 @@
 import pytest
 
 from ncdga import (
+    AlgebraElement,
     Augmentation,
     CoefficientMorphism,
+    DualElement,
     FreeAlgebra,
     MatrixAlgebra,
     TensorElement,
+    TensorWord,
     Z2,
     parse_dga,
     tensor_product,
@@ -88,6 +91,52 @@ def solve_in_span(columns, target, ring):
     for row, col in zip(span.rows, span.pivots):
         solution[col] = row[-1]
     return solution
+
+
+# -- chains of a complex as library elements ---------------------------
+#
+# The library applies the augmented operations to basis labels directly;
+# the oracles below evaluate the same operations on library elements
+# (ainfinity._evaluate), and these move chains between the two.
+
+
+def _chain(alg, case: str, pairs):
+    """The chain sum of c * label over (label, c) pairs: in case I a
+    functional, the labels (word, generator) standing for word * generator;
+    in case II a bimodule element, the labels (left, generator, right)
+    standing for left generator right."""
+    add_term = alg.ring.add_term
+    if case == "I":
+        terms: dict = {}
+        for (word, gen), c in pairs:
+            add_term(terms.setdefault(gen, {}), word, c)
+        return DualElement(alg, {g: AlgebraElement(alg, t) for g, t in terms.items()})
+    out: dict = {}
+    for (left, gen, right), c in pairs:
+        add_term(out, TensorWord((left, right), (gen,)), c)
+    return TensorElement(alg, out)
+
+
+def _coordinates(case: str, element) -> list:
+    """The (label, c) pairs of a chain of arity one, inverse to :func:`_chain`."""
+    if case == "I":
+        return [((w, g), c) for g, b in element.terms.items() for w, c in b.terms.items()]
+    return [((tw.coeffs[0], tw.gens[0], tw.coeffs[1]), c) for tw, c in element.terms.items()]
+
+
+def element_of(cx, degree: int, vector: list):
+    """The chain of a complex with the given coordinates, as a library element."""
+    return _chain(cx.algebra, cx.case, zip(cx.basis[degree], vector))
+
+
+def vector_of(cx, degree: int, element) -> list:
+    """The coordinates of a library element of arity one in a degree of a complex."""
+    labels = cx.basis[degree]
+    index = {label: i for i, label in enumerate(labels)}
+    vec = [cx.field.zero] * len(labels)
+    for label, c in _coordinates(cx.case, element):
+        vec[index[label]] = c
+    return vec
 
 
 @pytest.fixture(scope="session")

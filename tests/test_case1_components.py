@@ -23,7 +23,7 @@ from ncdga import (
 from ncdga.ainfinity import _pattern_matches
 from ncdga.homology import _prepare
 
-from conftest import TREFOIL_SOURCE
+from conftest import TREFOIL_SOURCE, element_of, vector_of
 from test_case2_components import _compositions, _xy_augmentations
 from test_relation import generated_dgas, variants
 
@@ -272,10 +272,10 @@ def test_case1_complex_matches_per_column_operations(ring):
             target = cx._next(degree)
             for col in range(len(labels)):
                 unit = [ring.one if i == col else ring.zero for i in range(len(labels))]
-                chain = [cx.element_of(degree, unit)]
+                chain = [element_of(cx, degree, unit)]
                 expected = mu_eps_case1(base, pair_augs, chain)
                 assert expected == interleaved_mu_eps_case1(base, pair_augs, chain)
                 if target not in cx.basis:
                     assert expected.is_zero()
                     continue
-                assert [row[col] for row in matrix] == cx.vector_of(target, expected)
+                assert [row[col] for row in matrix] == vector_of(cx, target, expected)

@@ -29,7 +29,7 @@ from ncdga.ainfinity import augmented_components
 from ncdga.errors import TupleLengthMismatchError
 from ncdga.homology import Span, _prepare, kernel_basis
 
-from conftest import XY_SOURCE, solve_in_span
+from conftest import XY_SOURCE, element_of, solve_in_span, vector_of
 
 
 def _compositions(total, parts):
@@ -118,12 +118,12 @@ def test_case2_complex_matches_per_pattern_columns(ring):
             for col in range(len(labels)):
                 unit = [ring.one if i == col else ring.zero for i in range(len(labels))]
                 expected = per_pattern_mu_eps_case2(
-                    base, pair_augs, cx.element_of(degree, unit)
+                    base, pair_augs, element_of(cx, degree, unit)
                 )
                 if target not in cx.basis:
                     assert expected.is_zero()
                     continue
-                assert [row[col] for row in matrix] == cx.vector_of(target, expected)
+                assert [row[col] for row in matrix] == vector_of(cx, target, expected)
 
 
 @pytest.mark.parametrize("ring", [Z2, Q], ids=["Z2", "Q"])

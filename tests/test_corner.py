@@ -35,7 +35,7 @@ from ncdga.cli import main
 from ncdga.errors import NcdgaError
 from ncdga.homology import Span, _prepare, kernel_basis
 
-from conftest import solve_in_span
+from conftest import element_of, solve_in_span, vector_of
 
 Z3 = Zp(3)
 
@@ -159,14 +159,14 @@ def full_components(prod):
 
 
 def full_product_class(prod, components, h01, h12, h02, deg_x, x_vec, deg_y, y_vec):
-    x = h01.cx.element_of(deg_x, x_vec)
-    y = h12.cx.element_of(deg_y, y_vec)
+    x = element_of(h01.cx, deg_x, x_vec)
+    y = element_of(h12.cx, deg_y, y_vec)
     value = _evaluate_case2(prod.algebra, components, x * y)
     degree = prod.output_degree(deg_x, deg_y)
     if degree not in h02.cx.basis:
         assert value.is_zero()
         return degree, []
-    return degree, h02.class_of(degree, h02.cx.vector_of(degree, value))
+    return degree, h02.class_of(degree, vector_of(h02.cx, degree, value))
 
 
 def _strings(cx, degree, reps):

@@ -133,12 +133,10 @@ def assert_components_match_the_copy(dga, augs, images=None):
 
 
 def assert_complexes_match_the_copy(dga, augs):
-    """Both complexes of every pair; case II only over a matrix target,
-    since over a split one it is built and squared whole."""
-    cases = ("I", "II") if augs[0].target.kind == "matrix" else ("I",)
+    """Both complexes of every pair, over matrix and split targets alike."""
     for e0, e1 in itertools.product(augs, repeat=2):
         base, (a0, a1) = _prepare(dga, [e0, e1])
-        for case in cases:
+        for case in ("I", "II"):
             cx = bilinearized_complex(dga, e0, e1, case)
             oracle = _complex(base, a0, a1, case)
             assert cx.basis == oracle.basis

@@ -42,7 +42,8 @@ generator at each slot (shared by the arities through one dict), and the
 live pool, the decorating coefficients whose inputs are nonzero, which
 counts the checks of every pattern.  The matches are read off the
 distinct generator patterns of each differential, which the DGA keeps
-from its construction along with the length of its longest word.
+from its construction with the length of its longest word and the terms
+its Leibniz d splices in; zero squares are never walked, nor zero images.
 """
 
 from __future__ import annotations

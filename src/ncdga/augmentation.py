@@ -92,8 +92,9 @@ class Augmentation:
             ok = self.dga.reduce_degree(degree) == 0 or value.is_zero()
             report.record(ok, "" if ok else f"nonzero value on generator {name} of degree {degree}")
         for name in self.dga.names:
-            image = self.evaluate(self.dga.d_of_generator(name))
-            ok = image.is_zero()
+            value = self.dga.differential.get(name)  # eps(0) = 0 is not evaluated
+            image = None if value is None else self.evaluate(value)
+            ok = image is None or image.is_zero()
             report.record(ok, "" if ok else f"eps(d {name}) = {image}")
         return report
 
@@ -127,11 +128,12 @@ def require_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation]) -> Non
     """Raise :class:`InvalidAugmentationError` unless every entry of
     ``augs`` is an augmentation of ``dga`` (:meth:`Augmentation.check`).
     The message names the first failing entry by its position in ``augs``;
-    an entry that repeats an earlier one is not checked again."""
+    an entry that repeats an earlier one is not checked again, and one of
+    ``dga`` itself is checked in place."""
     for i, aug in enumerate(augs):
         if aug in augs[:i]:
             continue
-        check = Augmentation(dga, aug.values, aug.morphism).check()
+        check = (aug if aug.dga is dga else Augmentation(dga, aug.values, aug.morphism)).check()
         if not check.ok:
             check.title = f"augmentation {i + 1} of {len(augs)}"
             raise InvalidAugmentationError(str(check))
@@ -241,7 +243,8 @@ def augmented_components(
     every non-survivor letter replaced by its augmentation value and every
     coefficient word by its image.  ``augs`` has n + 1 entries, one per
     block, sharing one coefficient morphism.  Generators whose component
-    vanishes are left out.
+    vanishes are left out, and one whose differential (or image) has no
+    terms is skipped before any placement walk: zero squares cost nothing.
 
     A placement adds the outer product of its slots' terms, with the
     survivors as generators.  Writing a survivor as the sum of u g v over
@@ -255,8 +258,11 @@ def augmented_components(
     target = _shared_morphism(augs).target
     ring = target.ring
     components: dict[str, TensorElement] = {}
+    source = dga.differential if images is None else images
     for name in dga.names:
-        image = dga.d_of_generator(name) if images is None else images[name]
+        image = source.get(name)
+        if image is None or not image.terms:
+            continue
         terms: dict = {}
         for coeff, slots, survivors in _placements(augs, n, image.terms.items()):
             for choice in itertools.product(*(s.items() for s in slots)):

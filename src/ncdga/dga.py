@@ -6,7 +6,8 @@ on generators and extended to arbitrary elements by the graded Leibniz
 rule with the sign (-1)^(sum of the degrees of the generators passed).
 Construction validates degrees and actions; the equation d(d(x)) = 0 is
 a separate, reported check so that deliberately broken differentials can
-be built and examined.
+be built and examined.  Differentials never change after construction,
+which keeps their generator patterns and their terms split for the splice.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .report import Report
-from .tensor import TensorElement, TensorWord, _splice, tensor_product
+from .tensor import TensorElement, TensorWord, _splice, split_terms, tensor_product
 
 
 class Generator(NamedTuple):
@@ -163,11 +164,13 @@ class SemifreeDGA:
     def _validate(self):
         """Check degrees and actions.  The distinct generator patterns of
         each differential, which the checks read, are kept as
-        ``word_patterns``; the longest of them is :meth:`max_word_arity`."""
+        ``word_patterns`` (the longest is :meth:`max_word_arity`), and its
+        terms split for the Leibniz splice (:func:`.tensor.split_terms`)."""
         for g in self.generators:
             if g.action is not None and g.action <= 0:
                 raise ActionViolationError(f"action of {g.name} must be positive")
         self.word_patterns: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self._split = {name: split_terms(value) for name, value in self.differential.items()}
         for name, value in self.differential.items():
             expected = self.reduce_degree(self.degree(name) - 1)
             # degree and action depend on a word's generators alone, and
@@ -211,10 +214,11 @@ class SemifreeDGA:
 
     def d(self, x: TensorElement) -> TensorElement:
         """Leibniz extension of the differential to any element."""
-        if x.algebra != self.algebra:
+        alg = self.algebra
+        if x.algebra != alg:
             raise AlgebraMismatchError("element is over the wrong algebra")
-        ring = self.algebra.ring
-        differential, degrees = self.differential, self._degrees
+        neg = alg.ring.neg
+        split, degrees = self._split, self._degrees
         out: dict = {}
         for tw, c in x.terms.items():
             # the Koszul sign of letter p is the parity of the degrees in
@@ -224,15 +228,16 @@ class SemifreeDGA:
                 degree = degrees.get(gen)
                 if degree is None:
                     self.degree(gen)  # raises for an unknown generator
-                value = differential.get(gen)
-                if value is not None:
-                    _splice(out, tw, ring.neg(c) if odd else c, p, value)
+                terms = split.get(gen)
+                if terms is not None:
+                    _splice(out, tw, neg(c) if odd else c, p, terms, alg)
                 odd ^= degree & 1
-        return TensorElement(self.algebra, out)
+        return TensorElement(alg, out)
 
     def d_squared(self) -> dict[str, TensorElement]:
         """d(d(c)) for every generator c."""
-        return {name: self.d(self.d_of_generator(name)) for name in self.names}
+        differential, zero = self.differential, TensorElement.zero(self.algebra)
+        return {name: self.d(differential.get(name, zero)) for name in self.names}
 
     def check_d_squared(self) -> Report:
         report = Report("d^2 = 0")

@@ -334,26 +334,35 @@ def _morphism_arity(f_values: Mapping[str, TensorElement]) -> int:
     return n
 
 
-def _splice(out: dict, tw: TensorWord, c, k: int, image: TensorElement) -> None:
+def split_terms(element: TensorElement) -> tuple:
+    """The terms as :func:`_splice` reads them: (first slot, inner slots,
+    last slot, generators, coefficient); last slot None at arity 0."""
+    return tuple(
+        (tw.coeffs[0], tw.coeffs[1:-1], tw.coeffs[-1] if tw.gens else None, tw.gens, c)
+        for tw, c in element.terms.items()
+    )
+
+
+def _splice(out: dict, tw: TensorWord, c, k: int, split: tuple, alg: CoefficientAlgebra) -> None:
     """Add c * (prefix . image . suffix) to the term map ``out``: the word
-    ``tw`` with its k-th generator (from 0) replaced by ``image``, whose end
-    slots absorb the slots around that generator."""
-    alg = image.algebra
-    ring = alg.ring
-    mul_words, make = alg.mul_words, TensorWord._make
-    coeffs, gens = tw.coeffs, tw.gens
+    ``tw`` with its k-th generator (from 0) replaced by the image whose
+    terms are ``split`` (:func:`split_terms`), whose end slots absorb the
+    slots around that generator; an arity-0 term merges both into one."""
+    ring, mul_words, new = alg.ring, alg.mul_words, tuple.__new__
+    coeffs, gens = tw
     head, left, right, tail = coeffs[:k], coeffs[k], coeffs[k + 1], coeffs[k + 2 :]
     gens_head, gens_tail = gens[:k], gens[k + 1 :]
-    for iw, ic in image.terms.items():
-        first = mul_words(left, iw.coeffs[0])
+    for first, inner, last, image_gens, ic in split:
+        first = mul_words(left, first)
         if first is None:
             continue
-        slots = (first,) + iw.coeffs[1:]
-        last = mul_words(slots[-1], right)
         if last is None:
-            continue
-        word = make((head + slots[:-1] + (last,) + tail, gens_head + iw.gens + gens_tail))
-        ring.add_term(out, word, ring.mul(c, ic))
+            slots = (mul_words(first, right),)
+        else:
+            slots = (first, *inner, mul_words(last, right))
+        if slots[-1] is not None:
+            word = new(TensorWord, (head + slots + tail, gens_head + image_gens + gens_tail))
+            ring.add_term(out, word, ring.mul(c, ic))
 
 
 def apply_block(
@@ -367,7 +376,7 @@ def apply_block(
         image = f_values.get(tw.gens[k])
         if image is not None:
             x._check(image)
-            _splice(out, tw, c, k, image)
+            _splice(out, tw, c, k, split_terms(image), x.algebra)
     return TensorElement(x.algebra, out)
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ncdga import (
     AlgebraElement,
+    Augmentation,
     FreeAlgebra,
     MatrixAlgebra,
     Q,
@@ -223,14 +224,29 @@ def test_leibniz_d_matches_the_prefix_suffix_loop(request, fixture):
         assert dga.d(x) == _old_d(dga, x)
 
 
-@pytest.mark.parametrize("ring", ["Z2", "Q"])
+def _with_constant(dga, name):
+    """The DGA with the unit added to d ``name``, ``name`` of degree 1: a
+    constant term, whose splice merges the slots on both sides of it."""
+    alg = dga.algebra
+    differential = dict(dga.differential)
+    one = TensorElement.from_scalar(alg, 1)
+    differential[name] = differential.get(name, TensorElement.zero(alg)) + one
+    return SemifreeDGA(alg, dga.generators, differential, dga.modulus)
+
+
+@pytest.mark.parametrize("ring", ["Z2", "Z3", "Q"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_leibniz_d_matches_the_prefix_suffix_loop_on_generated_dgas(ring, data):
     """The Koszul sign carried along each word against the parity of the
     letters in front recomputed at every letter, on DGAs with odd
-    generators graded over Z and modulo 2, 4 and 6."""
-    dga, _augs = data.draw(generated_dgas((ring,)))
+    generators graded over Z and modulo 2, 4 and 6.  d^2 is compared term
+    map by term map with the old d applied to d, on the DGA and on copies
+    whose square is not zero: one differential dropped, or a constant
+    added to the differential of a generator of degree 1.  On each copy the
+    augmented components of d^2 and of d are the same with the zero images
+    present and with them dropped."""
+    dga, augs = data.draw(generated_dgas((ring,)))
     modulus = data.draw(st.sampled_from([0, 2, 4, 6]))
     dga = SemifreeDGA(dga.algebra, dga.generators, dga.differential, modulus)
     inputs = _words(dga, 1) + _words(dga, 2)
@@ -242,6 +258,29 @@ def test_leibniz_d_matches_the_prefix_suffix_loop_on_generated_dgas(ring, data):
     for x in (stray, dga.generator("x1") * stray, stray * dga.generator("x1")):
         with pytest.raises(DegreeUnknownError):
             dga.d(x)
+    copies = [dga] + [_broken(dga, name) for name in dga.differential]
+    copies += [_with_constant(dga, name) for name in ("x1", "y1", "v")]
+    nonzero = 0
+    for copy in copies:
+        square = copy.d_squared()
+        assert list(square) == list(copy.names)
+        for name in copy.names:
+            assert square[name].terms == _old_d(copy, copy.d_of_generator(name)).terms
+        nonzero += any(value.terms for value in square.values())
+        zero = TensorElement.zero(copy.algebra)
+        with_zeros = {name: copy.differential.get(name, zero) for name in copy.names}
+        without_zeros = {name: value for name, value in square.items() if value.terms}
+        copy_augs = [Augmentation(copy, aug.values) for aug in augs]
+        for n in (1, 2, 3):
+            eps = tuple(data.draw(st.sampled_from(copy_augs)) for _ in range(n + 1))
+            assert augmented_components(copy, eps, n, square) == augmented_components(
+                copy, eps, n, without_zeros
+            )
+            assert augmented_components(copy, eps, n) == augmented_components(
+                copy, eps, n, with_zeros
+            )
+    # the constants alone give three copies with a nonzero square
+    assert nonzero >= 3
 
 
 @pytest.mark.parametrize("fixture", ["toy_h", "q_corpus"])

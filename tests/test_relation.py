@@ -43,7 +43,7 @@ from ncdga.ainfinity import (
 from ncdga.dga import SemifreeDGA
 from ncdga.errors import ArityMismatchError, InvalidAugmentationError, TupleLengthMismatchError
 from ncdga.report import Report
-from ncdga.tensor import _splice
+from ncdga.tensor import _splice, split_terms
 
 from conftest import XY_SOURCE
 
@@ -474,7 +474,8 @@ def composed_relation(dga, augs, n):
                     image = inner.get(tw.gens[i - 1])
                     if image is not None:
                         sign = dga.sign_parity(tw.gens[: i - 1])
-                        _splice(terms, tw, ring.neg(c) if sign else c, i - 1, image)
+                        c = ring.neg(c) if sign else c
+                        _splice(terms, tw, c, i - 1, split_terms(image), dga.algebra)
     return {name: TensorElement(dga.algebra, terms) for name, terms in relation.items() if terms}
 
 
@@ -499,7 +500,7 @@ d x1 = y0
 d v = u*y0 - y0*u
 """
 GENERATED_ALGEBRAS = ["matrix 2", "group free 1 hermitian", "free g1"]
-GENERATED_SCALARS = {"Z2": [1], "Q": [1, -1, 2, Fraction(1, 2)]}
+GENERATED_SCALARS = {"Z2": [1], "Z3": [1, -1], "Q": [1, -1, 2, Fraction(1, 2)]}
 
 
 @st.composite
@@ -508,7 +509,11 @@ def generated_dgas(draw, rings=tuple(sorted(GENERATED_SCALARS))):
     one to three random elementary automorphisms g -> g + w, w a word of
     the degree of g in the other generators (a coefficient when g has
     degree 0), with the base's augmentations pulled back along them
-    (eps -> eps o phi)."""
+    (eps -> eps o phi).  Two times in three the first one is
+    s0 -> s0 + a x1 x2 or s0 -> s0 + a u x1 x2, a a letter of the
+    coefficient algebra other than a unit word: the arity-two words it puts
+    into d c0 and d s0 carry a coefficient or the augmented letter u in
+    front of their first survivor, which random words rarely do."""
     ring = draw(st.sampled_from(rings))
     dga = parse_dga(
         GENERATED_BASE.format(ring=ring, algebra=draw(st.sampled_from(GENERATED_ALGEBRAS)))
@@ -522,16 +527,23 @@ def generated_dgas(draw, rings=tuple(sorted(GENERATED_SCALARS))):
         return alg.from_terms(terms)
 
     augs = [Augmentation.trivial(dga), Augmentation(dga, {"u": element()})]
-    for _ in range(draw(st.integers(1, 3))):
-        name = draw(st.sampled_from(dga.names))
-        words = [
-            gens
-            for arity in range(3 if dga.degree(name) else 0, -1, -1)
-            for gens in itertools.product(dga.names, repeat=arity)
-            if name not in gens and sum(map(dga.degree, gens)) == dga.degree(name)
-        ]
-        gens = draw(st.sampled_from(words))
-        parts = [alg.element(draw(coefficients))]
+    units = set(alg.unit_words())
+    leads = [w for w in alg.words(1) if w not in units]
+    for step in range(draw(st.integers(1, 3))):
+        lead = draw(st.sampled_from([("x1", "x2"), ("u", "x1", "x2"), None])) if not step else None
+        if lead:
+            name, gens, first = "s0", lead, draw(st.sampled_from(leads))
+        else:
+            name = draw(st.sampled_from(dga.names))
+            words = [
+                gens
+                for arity in range(3 if dga.degree(name) else 0, -1, -1)
+                for gens in itertools.product(dga.names, repeat=arity)
+                if name not in gens and sum(map(dga.degree, gens)) == dga.degree(name)
+            ]
+            gens = draw(st.sampled_from(words))
+            first = draw(coefficients)
+        parts = [alg.element(first)]
         for gen in gens:
             parts += [dga.generator(gen), alg.element(draw(coefficients))]
         offset = tensor_product(parts, alg).scale(draw(scalars))

@@ -36,14 +36,13 @@ the words whose generators are the inputs' pattern, so a check off the
 support has a zero residual term by term.
 
 One verify call builds each piece of structure it reads once, and keeps
-none of it past the call: d^2, one relation per arity, the pattern
-matches of each augmentation tuple and arity with their index by the
-generator at each slot (shared by the arities through one dict), and the
-live pool, the decorating coefficients whose inputs are nonzero, which
-counts the checks of every pattern.  The matches are read off the
+none of it past the call: d^2, one relation per arity, the candidate
+patterns of every arity from one walk over the distinct words of d^2, and
+the live pool, the decorating coefficients whose inputs are nonzero,
+which counts the checks of every pattern.  The words are read off the
 distinct generator patterns of each differential, which the DGA keeps
-from its construction with the length of its longest word and the terms
-its Leibniz d splices in; zero squares are never walked, nor zero images.
+from its construction with the terms its Leibniz d splices in; zero
+squares are never walked, nor zero images.
 """
 
 from __future__ import annotations
@@ -210,29 +209,6 @@ def default_coeff_pool(algebra) -> list[AlgebraElement]:
     return [algebra.unit()]
 
 
-def _pattern_matches(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], l: int
-) -> set[tuple[tuple[str, ...], str]]:
-    """(input pattern, output generator) pairs for which the augmented
-    arity-l operation can have a nonzero term: the survivors of every
-    placement that :func:`augmented_components` reads, found on the
-    distinct generator patterns of the differential.  Structural: a
-    product that happens to vanish still counts."""
-    out = set()
-    for name, patterns in dga.word_patterns.items():
-        for gens in patterns:
-            for survivors in itertools.combinations(range(len(gens)), l):
-                block = 0
-                for pos, gen in enumerate(gens):
-                    if block < l and survivors[block] == pos:
-                        block += 1
-                    elif gen not in augs[block].values:
-                        break
-                else:
-                    out.add((tuple(gens[pos] for pos in survivors), name))
-    return out
-
-
 def _relation(
     dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, square: Mapping | None = None
 ) -> dict[str, TensorElement]:
@@ -251,42 +227,68 @@ def _relation(
     return augmented_components(dga, augs, n, square)
 
 
+def _candidate_buckets(
+    dga: SemifreeDGA, augs: Sequence[Augmentation], max_arity: int
+) -> dict[int, set[tuple[str, ...]]]:
+    """The candidate patterns of every arity up to ``max_arity``, keyed by
+    arity; arity n reads the prefix of length n + 1 of ``augs``.  One walk
+    over the distinct words head . w . tail of d^2, w a word of d(z) in
+    place of the letter z: a placement keeps a survivor when it takes the
+    letter and may skip it only when eps[b] has a value for it, b the
+    survivors so far, and counts when it kept a letter of w (the splits
+    with inner arity l = 0 sum to eps(d z) = 0, see :func:`_relation`).
+    The placements with the same survivors after a letter are one state;
+    those kept in d(z) from block b are walked once per (z, b)."""
+    values = [eps.values for eps in augs]
+
+    def walk(states, letters, start):
+        """The states after ``letters`` from ``states`` in block ``start``."""
+        top = max_arity - start
+        for letter in letters:
+            out = set()
+            for s in states:
+                b = len(s)
+                if b < top:
+                    out.add(s + (letter,))
+                if letter in values[start + b]:
+                    out.add(s)
+            states = out
+        return states
+
+    patterns = dga.word_patterns
+    inner: dict[tuple[str, int], set[tuple[str, ...]]] = {}
+    buckets: dict[int, set[tuple[str, ...]]] = {}
+    for u in dict.fromkeys(gens for words in patterns.values() for gens in words):
+        head = {()}
+        for p, z in enumerate(u):
+            tail = u[p + 1 :]
+            words = patterns.get(z)
+            if words:
+                spliced = set()
+                for h in head:
+                    b = len(h)
+                    kept = inner.get((z, b))
+                    if kept is None:
+                        kept = inner[z, b] = set().union(*(walk({()}, w, b) for w in words))
+                        kept.discard(())
+                    spliced.update(h + t for t in kept)
+                for survivors in walk(spliced, tail, 0) if tail else spliced:
+                    buckets.setdefault(len(survivors), set()).add(survivors)
+            if tail:
+                head = walk(head, (z,), 0)
+    return buckets
+
+
 def candidate_patterns(
-    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, matches: dict | None = None
+    dga: SemifreeDGA, augs: Sequence[Augmentation], n: int, buckets: dict | None = None
 ) -> list[tuple[str, ...]]:
     """Input generator patterns for which some term of the arity-n
-    relation can be nonzero: an inner placement's survivors spliced into an
-    outer one's at input i, for every split into an inner operation of
-    arity l >= 1 at input i of an outer one (the l = 0 terms of d^2 sum to
-    eps(d z) = 0, see :func:`_relation`).  Every other pattern vanishes
-    term by term.  ``matches`` maps (augmentation tuple, arity) to the
-    pattern matches built so far, and ((augmentation tuple, arity), slot)
-    to those matches indexed by their generator at that slot; a caller
-    checking several arities in one call passes the same dict to each, so
-    shared matches and indexes are built once.  An operation of arity above
-    the longest word of d has no placement, so only the splits whose inner
-    arity l and outer arity n + 1 - l are both at most that length are
-    read."""
-    eps = tuple(augs)
-    built = {} if matches is None else matches
-    patterns: set[tuple[str, ...]] = set()
-    longest = dga.max_word_arity()
-    for l in range(max(1, n + 1 - longest), min(n, longest) + 1):
-        for i in range(1, n + 2 - l):
-            inner, outer = (eps[i - 1 : i + l], l), (eps[:i] + eps[i + l - 1 :], n + 1 - l)
-            if inner not in built:
-                built[inner] = _pattern_matches(dga, *inner)
-            by_slot = built.get((outer, i))
-            if by_slot is None:
-                if outer not in built:
-                    built[outer] = _pattern_matches(dga, *outer)
-                by_slot = built[outer, i] = {}
-                for pat_out, _name in built[outer]:
-                    by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
-            for pat_in, name_in in built[inner]:
-                for pat_out in by_slot.get(name_in, ()):
-                    patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
-    return sorted(patterns)
+    relation can be nonzero, sorted; every other pattern vanishes term by
+    term.  ``buckets`` is the walk (:func:`_candidate_buckets`) of a tuple
+    that starts with ``augs``, shared by a caller's arities."""
+    if buckets is None:
+        buckets = _candidate_buckets(dga, augs, n)
+    return sorted(buckets.get(n, ()))
 
 
 def ainfty_residual_case1(
@@ -338,14 +340,15 @@ def verify_ainfty(
     """Check the relations at every arity up to ``max_arity``.
 
     ``objects``, augmentations of ``dga``, supply the tuple, repeated
-    cyclically when shorter than max_arity + 1.  Inputs run over candidate
-    generator patterns decorated with :func:`default_coeff_pool` (case I:
-    pool element times generator; case II: generators joined by pool
-    elements).  With ``exhaustive`` every generator pattern is checked
-    instead, as it is when no arity has a candidate pattern.  A DGA
-    without generators has no inputs, so it is refused rather than passed
-    with no checks.  ``max_arity`` runs from 1 to ``_MAX_ARITY``, which
-    keeps the check count of a few thousand generators printable.
+    cyclically to length max_arity + 1.  Inputs run over the candidate
+    generator patterns of one walk of it (:func:`_candidate_buckets`),
+    decorated with :func:`default_coeff_pool` (case I: pool element times
+    generator; case II: generators joined by pool elements).  With
+    ``exhaustive`` nothing is walked and every generator pattern is
+    checked instead, as it is when no arity has a candidate pattern.  A
+    DGA without generators has no inputs, so it is refused rather than
+    passed with no checks.  ``max_arity`` runs from 1 to ``_MAX_ARITY``,
+    which keeps the check count of a few thousand generators printable.
 
     Only the patterns in the relation's support, the generators of its
     words, are evaluated, in enumeration order.  The checks on every other
@@ -380,7 +383,8 @@ def verify_ainfty(
         raise NotHermitianError(f"{alg} has no hermitian structure")
     live = _live_pool(alg, case, dga.names[0], default_coeff_pool(alg))
     square = dga.d_squared()
-    matches: dict = {}
+    cycled = tuple(objects[j % len(objects)] for j in range(max_arity + 1))
+    buckets = {} if exhaustive else _candidate_buckets(dga, cycled, max_arity)
     index = {name: i for i, name in enumerate(dga.names)}
 
     def every_pattern(support):
@@ -388,7 +392,7 @@ def verify_ainfty(
 
     arities = []  # (n, relation, support), kept for the zero-check fallback
     for n in range(1, max_arity + 1):
-        eps = tuple(objects[j % len(objects)] for j in range(n + 1))
+        eps = cycled[: n + 1]
         relation = _relation(dga, eps, n, square)
         # psi_eval drops every word whose generators differ from the
         # inputs' pattern, and adjoint_formula every word with
@@ -399,7 +403,7 @@ def verify_ainfty(
             evaluated, total = every_pattern(support), len(dga.names) ** n
         else:
             arities.append((n, relation, support))
-            candidates = candidate_patterns(dga, eps, n, matches)
+            candidates = candidate_patterns(dga, eps, n, buckets)
             evaluated = [pattern for pattern in candidates if pattern in support]
             total = len(candidates)
         _check_arity(report, dga, case, live, n, relation, evaluated, total)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from ncdga import (
     AlgebraElement,
@@ -16,6 +17,11 @@ from ncdga import (
     toy_hermitian_dga,
 )
 from ncdga.homology import Span
+
+# every run draws the same examples, so Tier-1's time and memory do not
+# depend on the run; each test keeps its own max_examples and deadline
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 XY_SOURCE = """\
 ring Z2

@@ -20,7 +20,7 @@ from ncdga import (
     mu_eps_case1,
     parse_dga,
 )
-from ncdga.ainfinity import _pattern_matches
+from ncdga.ainfinity import _candidate_buckets
 from ncdga.homology import _prepare
 
 from conftest import TREFOIL_SOURCE, element_of, vector_of
@@ -92,7 +92,11 @@ def walked_pattern_matches(dga, augs, l):
     return out
 
 
-def walked_candidate_patterns(dga, augs, n):
+def unpruned_candidate_patterns(dga, augs, n):
+    """Reference: an inner placement's survivors spliced into an outer
+    one's at input i, for every split into an inner operation of arity
+    l >= 1 at input i of an outer one of arity n + 1 - l, past the longest
+    word of d too."""
     eps = tuple(augs)
     patterns = set()
     for l in range(1, n + 1):
@@ -104,6 +108,27 @@ def walked_candidate_patterns(dga, augs, n):
                 for pat_out, _name in outer:
                     if pat_out[i - 1] == name_in:
                         patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
+    return sorted(patterns)
+
+
+def split_candidate_patterns(dga, augs, n):
+    """Reference: the split join, reading only the splits whose inner arity
+    l and outer arity n + 1 - l are both at most the longest word of d,
+    with the outer matches indexed by their generator at the split's
+    slot."""
+    eps = tuple(augs)
+    patterns = set()
+    longest = dga.max_word_arity()
+    for l in range(max(1, n + 1 - longest), min(n, longest) + 1):
+        for i in range(1, n + 2 - l):
+            inner = walked_pattern_matches(dga, eps[i - 1 : i + l], l)
+            outer = walked_pattern_matches(dga, eps[:i] + eps[i + l - 1 :], n + 1 - l)
+            by_slot = {}
+            for pat_out, _name in outer:
+                by_slot.setdefault(pat_out[i - 1], []).append(pat_out)
+            for pat_in, name_in in inner:
+                for pat_out in by_slot.get(name_in, ()):
+                    patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
     return sorted(patterns)
 
 
@@ -164,12 +189,37 @@ def test_mu_case1_matches_word_reference(toy, q_corpus, n):
 # -- candidate patterns ---------------------------------------------------
 
 
+# with x = y = 1 a placement may skip the whole word x*y of d t or d b, so
+# only the rule that a candidate keeps a letter of the spliced word leaves
+# (z,) out at arity one; and a block reading the next tuple entry's map
+# would let the x of x*y survive where only the y may.  The trivial map is
+# no augmentation of it, but candidates are structural and read only which
+# letters a map has a value for
+SKIPPED_WORD_SOURCE = """\
+ring Z2
+algebra free
+grading mod 0
+gen x deg 0
+gen y deg 0
+gen z deg 0
+gen t deg 1
+gen b deg 1
+gen c deg 2
+d t = x*y + 1
+d b = x*y + 1
+d c = t*z + b*z
+"""
+
+
 @pytest.fixture(scope="module")
 def candidate_cases(toy, toy_h, toy_h_augmentations, q_corpus, q_corpus_augmented):
-    """(DGA, augmentations) pairs whose tuples the candidate tests walk."""
+    """(DGA, maps) pairs whose tuples the candidate tests walk."""
     shifted, q_augs = _q_augmentations(q_corpus_augmented)
     toy_augs = [Augmentation.trivial(toy), Augmentation(toy, {"c4": toy.algebra.unit()})]
+    skipped = parse_dga(SKIPPED_WORD_SOURCE)
+    unit = skipped.algebra.unit()
     return [
+        (skipped, [Augmentation.trivial(skipped), Augmentation(skipped, {"x": unit, "y": unit})]),
         (toy, toy_augs),
         (toy_h, toy_h_augmentations),
         (q_corpus, [Augmentation.trivial(q_corpus)]),
@@ -181,56 +231,42 @@ def candidate_cases(toy, toy_h, toy_h_augmentations, q_corpus, q_corpus_augmente
 def test_candidate_patterns_match_walk(candidate_cases, n):
     for dga, augs in candidate_cases:
         for eps in _tuples(augs, n):
-            assert candidate_patterns(dga, eps, n) == walked_candidate_patterns(dga, eps, n)
-            for l in range(1, n + 1):
-                assert _pattern_matches(dga, eps[: l + 1], l) == walked_pattern_matches(
-                    dga, eps[: l + 1], l
-                )
+            assert candidate_patterns(dga, eps, n) == unpruned_candidate_patterns(dga, eps, n)
+    skipped, augs = candidate_cases[0]
+    assert candidate_patterns(skipped, (augs[1],) * 2, 1) == []
+    assert ("x", "z") in candidate_patterns(skipped, (augs[1],) * 3, 2)
 
 
-def test_shared_matches_give_the_fresh_candidates(candidate_cases):
-    """One matches dict, holding the matches and their indexes by slot,
-    shared by every arity and tuple on a DGA as verify_ainfty shares it."""
+def one_walk_gives_each_arity(dga, cycled, max_arity):
+    """The buckets of one walk over ``cycled`` give, at every arity n, the
+    candidates of arity n's own tuple, the prefix of length n + 1."""
+    buckets = _candidate_buckets(dga, cycled, max_arity)
+    for n in range(1, max_arity + 1):
+        eps = cycled[: n + 1]
+        assert candidate_patterns(dga, eps, n, buckets) == candidate_patterns(dga, eps, n)
+    assert not set(buckets) - set(range(1, max_arity + 1))
+
+
+def test_one_walk_gives_every_arity(candidate_cases):
+    """One walk per tuple, shared by the arities as verify_ainfty shares it."""
     for dga, augs in candidate_cases:
-        shared: dict = {}
-        for n in range(1, 6):
-            for eps in _tuples(augs, n):
-                assert candidate_patterns(dga, eps, n, shared) == candidate_patterns(dga, eps, n)
+        for cycled in _tuples(augs, 6):
+            one_walk_gives_each_arity(dga, cycled, 6)
 
 
 @settings(max_examples=8, deadline=None)
 @given(generated_dgas())
 def test_candidate_patterns_match_walk_on_generated_dgas(instance):
     """Every tuple of the trivial map and the generated augmentation, on
-    the generated DGA and its broken copies; one matches dict is shared by
-    all calls on a DGA, as verify_ainfty shares it across arities."""
+    the generated DGA and its broken copies; one walk over each mixed
+    cyclic tuple gives every arity's candidates, as in verify_ainfty."""
     for dga, augs in variants(*instance):
-        shared: dict = {}
         for n in range(1, 4):
             for eps in itertools.product(augs, repeat=n + 1):
-                expected = walked_candidate_patterns(dga, eps, n)
+                expected = unpruned_candidate_patterns(dga, eps, n)
                 assert candidate_patterns(dga, eps, n) == expected
-                assert candidate_patterns(dga, eps, n, shared) == expected
-                for l in range(1, n + 1):
-                    assert _pattern_matches(dga, eps[: l + 1], l) == walked_pattern_matches(
-                        dga, eps[: l + 1], l
-                    )
-
-
-def unpruned_candidate_patterns(dga, augs, n):
-    """candidate_patterns over every split (l, i), past the longest word of
-    d too: the splits it skips add no pattern."""
-    eps = tuple(augs)
-    patterns = set()
-    for l in range(1, n + 1):
-        for i in range(1, n + 2 - l):
-            inner = _pattern_matches(dga, eps[i - 1 : i + l], l)
-            outer = _pattern_matches(dga, eps[:i] + eps[i + l - 1 :], n + 1 - l)
-            for pat_in, name_in in inner:
-                for pat_out, _name in outer:
-                    if pat_out[i - 1] == name_in:
-                        patterns.add(pat_out[: i - 1] + pat_in + pat_out[i:])
-    return sorted(patterns)
+        for cycled in itertools.product(augs, repeat=3):
+            one_walk_gives_each_arity(dga, (cycled * 3)[:7], 6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -238,8 +274,8 @@ def test_candidate_patterns_match_unpruned_loop(
     toy_h, toy_h_augmentations, q_corpus_augmented, n
 ):
     """Words of d have at most two letters in the toy and three in the
-    trefoil and the q corpus, so from arity 2 or 3 on some splits are
-    skipped, and from arity 4 or 6 on every split is."""
+    trefoil and the q corpus, so from arity 2 or 3 on the split join skips
+    some splits, and from arity 4 or 6 on every split."""
     shifted, q_augs = _q_augmentations(q_corpus_augmented)
     trefoil = parse_dga(TREFOIL_SOURCE)
     unit = trefoil.algebra.unit()
@@ -253,6 +289,7 @@ def test_candidate_patterns_match_unpruned_loop(
         for eps in _tuples(augs, n):
             patterns = candidate_patterns(dga, eps, n)
             assert patterns == unpruned_candidate_patterns(dga, eps, n)
+            assert patterns == split_candidate_patterns(dga, eps, n)
             found += len(patterns)
     assert found or n > 4
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,30 @@ def test_ainfty_verify_refuses_arities_past_the_bound(tmp_path, toy_file, capsys
     assert captured.err == "error: max arity must be at most 1000, got 2300\n"
     assert main(["ainfty-verify", toy_file, "--case", "I", "--max-arity", "1000"]) == 0
     assert capsys.readouterr().out == "all residuals vanish (16 checks)\n"
+
+
+# d b has a word of twenty letters a, each of which a placement may skip
+LONG_WORD_SOURCE = (
+    "ring Z2\nalgebra free\ngrading mod 0\ngen a deg 0\ngen b deg 1\ngen c deg 2\n"
+    f"d b = {'*'.join('a' * 20)} + 1\nd c = a*b + b*a\n"
+)
+
+
+def test_ainfty_verify_on_a_long_word(tmp_path, capsys):
+    """With a = 1 every subset of the twenty letters is a placement, but
+    placements with the same survivors share their state, so the
+    candidate walk takes a few hundred steps and each run stays well
+    under 2 s, which enumerating the 2^20 placements would exceed."""
+    dga = tmp_path / "long-word.dga"
+    dga.write_text(LONG_WORD_SOURCE)
+    aug = tmp_path / "long-word.aug"
+    aug.write_text("target free over Z2\na = 1\n")
+    args = ["ainfty-verify", str(dga), "--eps", str(aug), "--case", "I", "--max-arity"]
+    for bound, checks in (("12", 12), ("20", 20), ("1000", 21)):
+        start = time.perf_counter()
+        assert main(args + [bound]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().out == f"all residuals vanish ({checks} checks)\n"
 
 
 @pytest.mark.parametrize("case", ["I", "II"])

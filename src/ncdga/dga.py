@@ -8,6 +8,14 @@ Construction validates degrees and actions; the equation d(d(x)) = 0 is
 a separate, reported check so that deliberately broken differentials can
 be built and examined.  Differentials never change after construction,
 which keeps their generator patterns and their terms split for the splice.
+
+Automorphisms are given by the images of the generators they move.
+Applying one (:func:`substitute`, :meth:`SemifreeDGA.invert_substitution`,
+:meth:`SemifreeDGA.conjugate`) splices the split images of the moved
+letters into each word through the same splice, from right to left, and
+copies every other letter with its slots; conjugation rewrites only the
+differentials of the moved generators and the words that hold a moved
+letter.
 """
 
 from __future__ import annotations
@@ -45,18 +53,53 @@ class LinkGrading(NamedTuple):
     e: dict[str, int]
 
 
+def _expand(x: TensorElement, split: Mapping[str, tuple]) -> TensorElement:
+    """x with each letter named in ``split`` replaced by the image whose
+    terms are given split (:func:`.tensor.split_terms`).  The images are
+    spliced in from the right, so the positions of the letters still to
+    replace do not move; every other letter stays with its slots, since
+    a (sum of u g v over unit words u, v) b = a g b."""
+    alg = x.algebra
+    add_term = alg.ring.add_term
+    out: dict = {}
+    for tw, c in x.terms.items():
+        moved = [p for p, gen in enumerate(tw.gens) if gen in split]
+        if not moved:
+            add_term(out, tw, c)
+            continue
+        words = {tw: c}
+        for p in reversed(moved):
+            spliced: dict = {}
+            terms = split[tw.gens[p]]
+            for w, v in words.items():
+                _splice(spliced, w, v, p, terms, alg)
+            words = spliced
+        for w, v in words.items():
+            add_term(out, w, v)
+    return TensorElement(alg, out)
+
+
 def substitute(
     x: TensorElement,
     gen_images: Mapping[str, TensorElement],
     slot_morphism: CoefficientMorphism | None = None,
     target: CoefficientAlgebra | None = None,
 ) -> TensorElement:
-    """Apply the algebra endomorphism determined by generator images.
+    """Apply the algebra endomorphism determined by generator images;
+    every letter of ``x`` needs an image.
 
     Slots pass through ``slot_morphism`` when given (change of
-    coefficients), otherwise unchanged.  No signs: degree-preserving
-    algebra morphisms commute with the grading.
+    coefficients): each word is then multiplied out as the product of its
+    slot and letter images.  Without it the images are spliced into the
+    unchanged slots.  No signs: degree-preserving algebra morphisms commute
+    with the grading.
     """
+    if slot_morphism is None and target is None:
+        for tw in x.terms:
+            for gen in tw.gens:
+                if gen_images.get(gen) is None:
+                    raise DegreeUnknownError(f"no image for generator {gen}")
+        return _expand(x, _split_images(x.algebra, gen_images))
     alg = target if target is not None else x.algebra
     ring = alg.ring
     slot = slot_morphism.apply_word if slot_morphism else x.algebra.element
@@ -72,6 +115,18 @@ def substitute(
         for w, v in tensor_product(factors, alg).terms.items():
             ring.add_term(out, w, ring.mul(c, v))
     return TensorElement(alg, out)
+
+
+def _split_images(algebra: CoefficientAlgebra, images: Mapping[str, TensorElement]) -> dict:
+    """The images, over ``algebra``, split for :func:`_expand`."""
+    split = {}
+    for gen, image in images.items():
+        if image is None:
+            continue
+        if image.algebra != algebra:
+            raise AlgebraMismatchError(f"image of {gen} is over the wrong algebra")
+        split[gen] = split_terms(image)
+    return split
 
 
 class SemifreeDGA:
@@ -290,45 +345,74 @@ class SemifreeDGA:
         return SemifreeDGA(target, self.generators, differential, self.modulus)
 
     def _endomorphism(self, images: Mapping[str, TensorElement]) -> dict[str, TensorElement]:
-        full = {}
-        for name in self.names:
-            image = images.get(name)
-            full[name] = image if image is not None else self.generator(name)
-            deg = self.element_degree(full[name])
+        """The images of the generators the map moves, checked: each names
+        a generator, and each nonzero image has its generator's degree.  An
+        image that is its generator moves nothing and is left out."""
+        moved = {}
+        for name, image in images.items():
+            generator = self.generator(name)  # raises for an unknown generator
+            if image is None or image == generator:
+                continue
+            deg = self.element_degree(image)
             if deg is not None and deg != self.degree(name):
                 raise DegreeMismatchError(f"image of {name} is not degree-preserving")
-        return full
+            moved[name] = image
+        return moved
 
-    def invert_substitution(
-        self, images: Mapping[str, TensorElement]
-    ) -> dict[str, TensorElement]:
-        """Inverse of a substitution c -> c + (other terms), found by
-        fixpoint iteration; raises when the iteration does not close."""
-        phi = self._endomorphism(images)
-        offsets = {name: phi[name] - self.generator(name) for name in self.names}
-        inverse = {name: self.generator(name) for name in self.names}
+    def _inverse(self, phi: Mapping[str, TensorElement]) -> dict[str, TensorElement]:
+        """The inverse images of the generators that ``phi`` (from
+        :meth:`_endomorphism`) moves; every other generator is its own.
+
+        The inverse image of a moved c is the fixpoint of
+        c -> c - (phi(c) - c)(inverse), iterated on the moved generators
+        only.  Both compositions are then checked on every generator."""
+        alg = self.algebra
+        offsets = {name: image - self.generator(name) for name, image in phi.items()}
+        inverse = {name: self.generator(name) for name in phi}
         for _ in range(len(self.names) + 2):
+            split = _split_images(alg, inverse)
             updated = {
-                name: self.generator(name) - substitute(offsets[name], inverse)
-                for name in self.names
+                name: self.generator(name) - _expand(offset, split)
+                for name, offset in offsets.items()
             }
             if updated == inverse:
                 break
             inverse = updated
+        forward, backward = _split_images(alg, phi), _split_images(alg, inverse)
         for name in self.names:
-            if substitute(phi[name], inverse) != self.generator(name) or substitute(
-                inverse[name], phi
-            ) != self.generator(name):
+            generator = self.generator(name)
+            if _expand(phi.get(name, generator), backward) != generator or _expand(
+                inverse.get(name, generator), forward
+            ) != generator:
                 raise NotInvertibleError(f"substitution is not invertible at {name}")
         return inverse
 
+    def invert_substitution(
+        self, images: Mapping[str, TensorElement]
+    ) -> dict[str, TensorElement]:
+        """Inverse of a substitution c -> c + (other terms), as the images
+        of every generator, found by fixpoint iteration on the generators it
+        moves; raises when the iteration does not give a two-sided inverse."""
+        inverse = self._inverse(self._endomorphism(images))
+        return {
+            name: inverse[name] if name in inverse else self.generator(name)
+            for name in self.names
+        }
+
     def conjugate(self, images: Mapping[str, TensorElement]) -> "SemifreeDGA":
         """The DGA with differential phi^-1 o d o phi for the degree-preserving
-        automorphism phi determined by the generator images."""
+        automorphism phi determined by the generator images (a generator
+        without an image is fixed).  A fixed generator's new differential
+        is its own differential pushed through phi^-1, so only the letters
+        phi moves are rewritten."""
         phi = self._endomorphism(images)
-        inverse = self.invert_substitution(phi)
+        split = _split_images(self.algebra, self._inverse(phi))
+        zero = TensorElement.zero(self.algebra)
         differential = {
-            name: substitute(self.d(phi[name]), inverse) for name in self.names
+            name: _expand(
+                self.d(phi[name]) if name in phi else self.differential.get(name, zero), split
+            )
+            for name in self.names
         }
         return SemifreeDGA(self.algebra, self.generators, differential, self.modulus)
 

@@ -504,53 +504,82 @@ GENERATED_SCALARS = {"Z2": [1], "Z3": [1, -1], "Q": [1, -1, 2, Fraction(1, 2)]}
 
 
 @st.composite
+def elementary_images(draw, dga, name=None, gens=None, first=None):
+    """{g: g + w} for an elementary automorphism of the DGA: w a scalar
+    times a word of the degree of g in the other generators (a coefficient
+    when g has degree 0), with coefficient words of length at most 2 in its
+    slots.  Whatever of ``name``, the word's generators ``gens`` and its
+    first slot ``first`` is not given is drawn."""
+    alg = dga.algebra
+    coefficients = st.sampled_from(list(alg.words(2)))
+    if name is None:
+        name = draw(st.sampled_from(dga.names))
+    if gens is None:
+        words = [
+            gens
+            for arity in range(3 if dga.degree(name) else 0, -1, -1)
+            for gens in itertools.product(dga.names, repeat=arity)
+            if name not in gens and sum(map(dga.degree, gens)) == dga.degree(name)
+        ]
+        gens = draw(st.sampled_from(words))
+    parts = [alg.element(draw(coefficients) if first is None else first)]
+    for gen in gens:
+        parts += [dga.generator(gen), alg.element(draw(coefficients))]
+    scalar = draw(st.sampled_from(GENERATED_SCALARS[alg.ring.name]))
+    return {name: dga.generator(name) + tensor_product(parts, alg).scale(scalar)}
+
+
+def pulled_back(dga, augs, images):
+    """The conjugate of the DGA by the automorphism phi the images give,
+    with the augmentations pulled back along phi: eps -> eps o phi."""
+    conjugated = dga.conjugate(images)
+    return conjugated, [
+        Augmentation(
+            conjugated,
+            {g: aug.evaluate(images.get(g, dga.generator(g))) for g in dga.names},
+            aug.morphism,
+        )
+        for aug in augs
+    ]
+
+
+@st.composite
 def generated_dgas(draw, rings=tuple(sorted(GENERATED_SCALARS))):
     """(DGA, augmentations): the base over one of ``rings`` conjugated by
-    one to three random elementary automorphisms g -> g + w, w a word of
-    the degree of g in the other generators (a coefficient when g has
-    degree 0), with the base's augmentations pulled back along them
-    (eps -> eps o phi).  Two times in three the first one is
-    s0 -> s0 + a x1 x2 or s0 -> s0 + a u x1 x2, a a letter of the
-    coefficient algebra other than a unit word: the arity-two words it puts
-    into d c0 and d s0 carry a coefficient or the augmented letter u in
-    front of their first survivor, which random words rarely do."""
+    one to three random elementary automorphisms (:func:`elementary_images`),
+    with the base's augmentations pulled back along them.  Two times in
+    three the first one is s0 -> s0 + a x1 x2 or s0 -> s0 + a u x1 x2, a a
+    letter of the coefficient algebra other than a unit word: the arity-two
+    words it puts into d c0 and d s0 carry a coefficient or the augmented
+    letter u in front of their first survivor, which random words rarely
+    do.  Three times in four a last one shifts y0 (or u, one time in three
+    of those) by a coefficient, so that both pulled-back augmentations
+    value the shifted letter, and after a shift of y0 the generated one
+    values y0 and u: which letters a block's map may skip then depends on
+    the block."""
     ring = draw(st.sampled_from(rings))
     dga = parse_dga(
         GENERATED_BASE.format(ring=ring, algebra=draw(st.sampled_from(GENERATED_ALGEBRAS)))
     )
     alg = dga.algebra
-    coefficients = st.sampled_from(list(alg.words(2)))
-    scalars = st.sampled_from(GENERATED_SCALARS[ring])
-
-    def element():
-        terms = draw(st.lists(st.tuples(coefficients, scalars), min_size=1, max_size=2))
-        return alg.from_terms(terms)
-
-    augs = [Augmentation.trivial(dga), Augmentation(dga, {"u": element()})]
+    terms = st.tuples(
+        st.sampled_from(list(alg.words(2))), st.sampled_from(GENERATED_SCALARS[ring])
+    )
+    u_value = alg.from_terms(draw(st.lists(terms, min_size=1, max_size=2)))
+    augs = [Augmentation.trivial(dga), Augmentation(dga, {"u": u_value})]
     units = set(alg.unit_words())
     leads = [w for w in alg.words(1) if w not in units]
-    for step in range(draw(st.integers(1, 3))):
+    count = draw(st.integers(1, 3))
+    shift = draw(st.sampled_from([None, "y0", "u", "y0"]))
+    for step in range(count + bool(shift)):
         lead = draw(st.sampled_from([("x1", "x2"), ("u", "x1", "x2"), None])) if not step else None
         if lead:
-            name, gens, first = "s0", lead, draw(st.sampled_from(leads))
+            images = draw(elementary_images(dga, "s0", lead, draw(st.sampled_from(leads))))
+        elif step == count:
+            images = draw(elementary_images(dga, shift))
         else:
-            name = draw(st.sampled_from(dga.names))
-            words = [
-                gens
-                for arity in range(3 if dga.degree(name) else 0, -1, -1)
-                for gens in itertools.product(dga.names, repeat=arity)
-                if name not in gens and sum(map(dga.degree, gens)) == dga.degree(name)
-            ]
-            gens = draw(st.sampled_from(words))
-            first = draw(coefficients)
-        parts = [alg.element(first)]
-        for gen in gens:
-            parts += [dga.generator(gen), alg.element(draw(coefficients))]
-        offset = tensor_product(parts, alg).scale(draw(scalars))
-        images = {name: dga.generator(name) + offset}
-        pulled = [{g: aug.evaluate(images.get(g, dga.generator(g))) for g in dga.names} for aug in augs]
-        dga = dga.conjugate(images)
-        augs = [Augmentation(dga, values) for values in pulled]
+            images = draw(elementary_images(dga))
+        dga, augs = pulled_back(dga, augs, images)
     assert dga.check_d_squared().ok
     assert all(aug.check().ok for aug in augs)
     return dga, augs

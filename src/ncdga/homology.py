@@ -8,45 +8,43 @@ algebra must be finite dimensional over the scalar field.  Grading uses
 the suspended dual convention: a generator of degree g sits in cochain
 degree g + 1 and the differential raises degree by one.
 
-Every complex is a set of blocks, copies of one core complex, and every
-result is computed on the core once and moved into the blocks.  Case II
-over matrix n (n >= 2) has the n^2 blocks of its corner, the labels
-(E_1b, g, E_c1).  The case II operations are adjoints of the augmented
-components, which multiply the outer slots of a label and nothing else,
-so they are linear over matrix n on both sides: the complex is n^2 copies
-of the corner, one per block (a, d) of outer indices, and the product
-sends blocks (a, d) and (d, d') to block (a, d') and every other pair of
-blocks to zero.  The corner is built, squared and eliminated once, and its
-representatives and products are moved into the blocks by
-z -> E_a1 z E_1d.  Every other complex is the one block (1, 1) and its
-own core, and the move is the identity.  The results are exactly those of
-eliminating the whole complex, not merely isomorphic: see
-:class:`HomologyResult`.
+Such a target is semisimple: a base B, matrix n or one dimensional (n = 1,
+its one word read as E_11), or a split algebra B e_1 + ... + B e_k.  One
+term index (:func:`_term_index`) files the terms c a0 h1 a1 ... hn an of
+the arity-n augmented components by the summands of their slots, then by
+their survivors (h1, ..., hn).  The core (i, j) is the case I complex over
+B of the terms with a0 in summand i and an in summand j, built by the one
+label rule (:func:`_apply_terms`): (w1 h1, ..., wn hn) goes to
+c (a0 w1 a1 ... wn an) g, the slots read in B.  Every complex is a set of
+blocks, each a copy of a core (Morita).  Case II sends u h v, u = e_i E_ab
+and v = e_j E_cd, to c (u a0*) g (an* v): with a0 = E_pb' and an = E_c'r,
+u a0* = delta(b, b') E_ap and an* v = delta(c, c') E_rd, where case I
+sends E_bc h to a0 E_bc an = delta(b, b') delta(c, c') E_pr.  So
+(E_bc, g) -> (e_i E_ab, g, e_j E_cd) is a chain map from core (i, j) onto
+block (i, j, a, d), and the case II complex is the sum of these blocks.
+In case I, a0 w an vanishes unless its words share a summand: the complex
+is the sum of the diagonal cores (i, i), one block each.  In a product the
+inner slot a1 must equal v1 u2 in case II, which is nonzero only when the
+factors' blocks (i, j, a, d) and (j, l, d, d') meet, and then a0 w1 a1 w2
+a2 is the case I product of their core labels by the terms of summands
+(i, j, l), in block (i, l, a, d'); every other pair of blocks gives zero.
 
-A complex or product takes the source DGA, for its generators and
-grading, together with the augmentations' common target, for the words
-and scalars of its labels.  Its augmented components are read off the
-source DGA's words through the augmentations' shared coefficient
-morphism (:func:`augmented_components`); no DGA over the target is
-built.
-
-The augmented operations on chains are read off one term index per
-complex or product (:func:`_term_index`): the terms c a0 h1 a1 ... hn an
-of the arity-n augmented components under their survivors (h1, ..., hn).
-One label rule (:func:`_apply_terms`) applies them: case I sends
-(w1 h1, ..., wn hn) to c (a0 w1 a1 ... wn an) g, case II sends
-(u1 h1 v1, ..., un hn vn) to c (u1 a0*) g (an* vn) when every inner slot
-a_i is v_i u_(i+1), the trace-pairing adjoint of orthonormal words.  Each
-core label scatters its arity-one terms into its column of d (n = 1), and
-the bilinear product of two chains sums c x_i y_j over the arity-two terms
-of each label pair of their supports (n = 2).  A representative is kept as
-its core vector and its block, and printed from the core vector's nonzero
-entries; the full-basis vectors are built only on request.
+Each core is built from the source DGA's words read through the
+augmentations' shared coefficient morphism (:func:`augmented_components`),
+then squared and eliminated once; its representatives and products are
+moved into its blocks.  The results equal those of eliminating the whole
+complex, as each block keeps its core's order: per generator the full
+basis runs over u = e_i E_ab, then v = e_j E_cd (case I: e_i E_bc), so
+within a block over E_bc in the core's order (see :class:`HomologyResult`).
+Representatives are printed from their core vectors' nonzero entries;
+full-basis vectors and matrices are built only on request.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import defaultdict
 
 # re-exported: the benchmark self-test reads ncdga.homology.mu_eps_case2, so
 # these stay until a change to the benchmark moves that test
@@ -155,48 +153,18 @@ def kernel_basis(matrix: list[list], ncols: int, ring: Ring) -> list[list]:
 
 
 class ChainComplex:
-    """Graded basis with a degree +1 differential, d squared verified.
+    """Graded basis with a degree +1 differential, d squared verified, over
+    ``algebra``; the source DGA ``dga`` gives the generators and grading.
+    Each core of a :class:`BlockComplex` is one."""
 
-    Every complex is a set of blocks, each a copy of one core complex whose
-    labels sit at known positions of the full basis.  A case II complex
-    over matrix n (n >= 2, see :func:`bilinearized_complex`) has the n^2
-    blocks (a, d) of its corner; only the corner's matrices are stored and
-    squared, and the full block-diagonal matrix of a degree is assembled on
-    the first call of :meth:`matrix`.  Every other complex is the one block
-    (1, 1) and its own core, at the identity positions.  ``dga`` is the
-    source DGA, which gives the generators and the grading; the labels'
-    words and the scalars are those of ``algebra``, the augmentations'
-    common target."""
-
-    def __init__(self, dga: SemifreeDGA, augs, case: str, basis: dict, diff: dict, core=None):
+    def __init__(self, dga: SemifreeDGA, algebra, case: str, basis: dict, diff: dict):
         self.dga = dga
-        self.augs = augs
+        self.algebra = algebra
         self.case = case
-        self.algebra = augs[0].target
-        self.field: Ring = self.algebra.ring
+        self.field: Ring = algebra.ring
         self.basis = basis  # degree -> labels: (word, gen) in case I, (left, gen, right) in II
         self.diff = diff    # degree -> matrix (rows: degree+1 basis, cols: degree basis)
-        if core is None:
-            self.core = self
-            self.blocks = [(1, 1)]
-            self._positions = {
-                degree: {(1, 1): list(range(len(labels)))} for degree, labels in basis.items()
-            }
-            self._check_squares()
-            return
-        self.core = core
-        n = self.algebra.n
-        self.blocks = [(a, d) for a in range(1, n + 1) for d in range(1, n + 1)]
-        # degree -> block (a, d) -> full index of each corner label moved
-        # into the block: (E_1b, g, E_c1) -> (E_ab, g, E_cd)
-        self._positions: dict[int, dict] = {}
-        for degree, labels in basis.items():
-            index = {label: j for j, label in enumerate(core.basis[degree])}
-            slots = {block: [0] * len(index) for block in self.blocks}
-            for i, (left, gen, right) in enumerate(labels):
-                j = index[((1, left[1]), gen, (right[0], 1))]
-                slots[left[0], right[1]][j] = i
-            self._positions[degree] = slots
+        self._check_squares()
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -213,39 +181,12 @@ class ChainComplex:
         return "*".join([part for part in parts if part != "1"])
 
     def matrix(self, degree: int) -> list[list]:
-        core = self.core
-        small = core.matrix(degree) if core is not self and degree not in self.diff else []
-        if small:
-            zero = self.field.zero
-            full = [[zero] * len(self.basis[degree]) for _ in self.basis[self._next(degree)]]
-            rows_at, cols_at = self._positions[self._next(degree)], self._positions[degree]
-            for block in self.blocks:
-                cols = cols_at[block]
-                for r, row in zip(rows_at[block], small):
-                    target = full[r]
-                    for c, value in zip(cols, row):
-                        target[c] = value
-            self.diff[degree] = full
         return self.diff.get(degree, [])
-
-    def _move(self, degree: int, vector: list, block) -> list:
-        """A core vector moved into a block: z -> E_a1 z E_1d."""
-        out = [self.field.zero] * len(self.basis[degree])
-        for i, c in zip(self._positions[degree][block], vector):
-            out[i] = c
-        return out
 
     def support(self, degree: int, vector: list) -> list:
         """(label, c) for each nonzero entry of a vector of a degree."""
         labels = self.basis[degree]
         return [(labels[i], c) for i, c in self.field.support(vector)]
-
-    def _split(self, degree: int, vector: list):
-        """(block, core vector) for each block where the vector is nonzero."""
-        for block, positions in self._positions[degree].items():
-            piece = [vector[i] for i in positions]
-            if any(piece):  # scalars are false exactly when zero
-                yield block, piece
 
     def _check_squares(self):
         """d^2 = 0, each column of d read against the next d's columns at its
@@ -265,72 +206,107 @@ class ChainComplex:
                     raise NotAComplexError(f"d^2 != 0 out of degree {degree}, column {col}")
 
     def apply_d(self, degree: int, vector: list) -> list:
-        matrix = self.matrix(degree)
         ring = self.field
-        if not matrix:
-            return [ring.zero] * len(self.basis.get(self._next(degree), []))
-        out = [ring.zero] * len(matrix)
-        for i, row in enumerate(matrix):
-            total = ring.zero
-            for j, c in enumerate(vector):
-                total = ring.add(total, ring.mul(row[j], c))
-            out[i] = total
+        out = [ring.zero] * len(self.basis.get(self._next(degree), []))
+        for i, row in enumerate(self.matrix(degree)):
+            for c, v in zip(row, vector):
+                out[i] = ring.add(out[i], ring.mul(c, v))
         return out
 
 
-def _term_index(dga: SemifreeDGA, augs, case: str) -> dict[tuple, list]:
+class BlockComplex(ChainComplex):
+    """A bilinearised complex: blocks (i, j, a, d), copies of the cores
+    ``cores[i, j]`` (see the module docstring), whose labels sit at
+    ``_positions[degree][block]`` of the full basis over the target
+    ``algebra``.  The cores are checked; ``diff`` is assembled on first use."""
+
+    def __init__(self, dga, augs, case, basis, cores, blocks, positions):
+        self.dga = dga
+        self.augs = augs
+        self.case = case
+        self.algebra = augs[0].target
+        self.field: Ring = self.algebra.ring
+        self.basis = basis
+        self.cores = cores
+        self.blocks = blocks
+        self._positions = positions
+
+    @functools.cached_property
+    def diff(self) -> dict:
+        """The full matrices, each core's entries copied into its blocks."""
+        zero = self.field.zero
+        diff = {}
+        for degree, labels in self.basis.items():
+            after = self._next(degree)
+            rows = self.basis.get(after, ())
+            full = diff[degree] = [[zero] * len(labels) for _ in rows]
+            for block in self.blocks if rows else ():
+                cols, core = self._positions[degree][block], self.cores[block[:2]]
+                for r, row in zip(self._positions[after][block], core.matrix(degree)):
+                    target = full[r]
+                    for c, value in zip(cols, row):
+                        target[c] = value
+        return diff
+
+    def _move(self, degree: int, vector: list, block) -> list:
+        """A core vector moved into a block: E_bc -> e_i E_ab ... e_j E_cd."""
+        out = [self.field.zero] * len(self.basis[degree])
+        for i, c in zip(self._positions[degree][block], vector):
+            out[i] = c
+        return out
+
+    def _split(self, degree: int, vector: list):
+        """(block, core vector) for each block where the vector is nonzero."""
+        for block, positions in self._positions[degree].items():
+            piece = [vector[i] for i in positions]
+            if any(piece):  # scalars are false exactly when zero
+                yield block, piece
+
+
+def _term_index(dga: SemifreeDGA, augs) -> dict[tuple, dict]:
     """The terms of the arity-n augmented components, n + 1 = len(augs), as
-    (g, slots, c) under their survivors: the slots are the outer slots a0
-    and an, starred in case II, and the inner ones (a1, ..., a_(n-1))."""
-    star = augs[0].target.star_word if case == "II" else (lambda word: word)
-    index: dict[tuple, list] = {}
+    (g, (a0, (a1, ..., a_(n-1)), an), c) with the slots read in the base,
+    filed by the slots' summands (i0, ..., in), then by the survivors."""
+    split = augs[0].target.kind == "split"
+    summands = (1,) * len(augs)
+    index: dict[tuple, dict] = {}
     for gen, value in augmented_components(dga, augs, len(augs) - 1).items():
         for tw, c in value.terms.items():
             a = tw.coeffs
-            index.setdefault(tw.gens, []).append((gen, (star(a[0]), a[1:-1], star(a[-1])), c))
+            if split:  # a split word is (summand, base word)
+                summands, a = tuple([w[0] for w in a]), tuple([w[1] for w in a])
+            terms = index.setdefault(summands, {}).setdefault(tw.gens, [])
+            terms.append((gen, (a[0], a[1:-1], a[-1]), c))
     return index
 
 
-def _apply_terms(mul, case: str, terms: list, labels: tuple) -> list:
-    """(output label, c) for each indexed term of one survivor tuple on input
-    labels with those generators, by the module docstring's rule."""
+def _apply_terms(mul, terms: list, labels: tuple) -> list:
+    """(output label, c) for each indexed term of one survivor tuple on core
+    labels with those generators: (w1 h1, ..., wn hn) goes to
+    c (a0 w1 a1 ... wn an) g."""
     out = []
-    if case == "I":
-        w, more = labels[0][0], labels[1:]
-        for gen, (a0, inner, an), c in terms:
-            word = mul(a0, w)
-            for a, (x, _gen) in zip(inner, more) if inner else ():
-                if word is None or (word := mul(word, a)) is None:
-                    break
-                word = mul(word, x)
-            if word is not None and (word := mul(word, an)) is not None:
-                out.append(((word, gen), c))
-        return out
-    u, v = labels[0][0], labels[-1][2]
-    # the products v_i u_(i+1) that the inner slots must equal, none at arity one
-    inner = () if len(labels) == 1 else tuple(mul(x[2], y[0]) for x, y in zip(labels, labels[1:]))
-    for gen, (a0, middle, an), c in terms:
-        if middle == inner:
-            left, right = mul(u, a0), mul(an, v)
-            if left is not None and right is not None:
-                out.append(((left, gen, right), c))
+    w, more = labels[0][0], labels[1:]
+    for gen, (a0, inner, an), c in terms:
+        word = mul(a0, w)
+        for a, (x, _gen) in zip(inner, more) if inner else ():
+            if word is None or (word := mul(word, a)) is None:
+                break
+            word = mul(word, x)
+        if word is not None and (word := mul(word, an)) is not None:
+            out.append(((word, gen), c))
     return out
 
 
 def bilinearized_complex(
     dga: SemifreeDGA, e0: Augmentation, e1: Augmentation, case: str = "I"
-) -> ChainComplex:
-    """The complex carried by the arity-one augmented operation.
-
-    In case II over matrix n (n >= 2) d(E_a1 z E_1d) = E_a1 d(z) E_1d (see
-    the module docstring): only the corner's columns are built, and the
-    returned complex has the corner as its core (see :class:`ChainComplex`);
-    its basis is still the full one."""
+) -> BlockComplex:
+    """The complex carried by the arity-one augmented operation, as blocks
+    of case I cores over the target's base (see the module docstring)."""
     require_shared_augmentations(dga, [e0, e1])
     return _complex(dga, e0, e1, case)
 
 
-def _complex(dga: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -> ChainComplex:
+def _complex(dga: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) -> BlockComplex:
     """:func:`bilinearized_complex` of augmentations of ``dga`` that share a
     coefficient morphism and have been checked: the generators and grading
     are the source DGA's, the words and scalars the target's, and the
@@ -345,98 +321,108 @@ def _complex(dga: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) ->
         raise InfiniteDimensionalCoefficientsError(
             f"{alg} is infinite dimensional over {alg.ring.name}"
         )
-    words = sorted(alg.words(dim), key=alg.word_key)
-    morita = case == "II" and alg.kind == "matrix" and alg.n > 1
-    basis: dict[int, list] = {}
-    corner_basis: dict[int, list] = {}
-    for gen in dga.generators:
-        degree = dga.reduce_degree(gen.degree + 1)
-        if case == "I":
-            labels = [(w, gen.name) for w in words]
-        else:
-            labels = [(u, gen.name, v) for u in words for v in words]
-        basis.setdefault(degree, []).extend(labels)
-        if morita:
-            corner_basis.setdefault(degree, []).extend(
-                label for label in labels if label[0][0] == 1 and label[2][1] == 1
-            )
-
     if case == "II" and not alg.hermitian:
         raise NotHermitianError(f"{alg} has no hermitian structure")
-    terms, ring = _term_index(dga, (a0, a1), case), alg.ring
-    core_basis = corner_basis if morita else basis
-    diff: dict[int, list[list]] = {}
-    for degree, labels in core_basis.items():
-        target_labels = core_basis.get(dga.reduce_degree(degree + 1), [])
-        index = {label: i for i, label in enumerate(target_labels)}
-        matrix = [[ring.zero] * len(labels) for _ in target_labels]
-        for col, label in enumerate(labels):
-            found = terms.get((label[1],))
-            if found:
-                for out, c in _apply_terms(alg.mul_words, case, found, (label,)):
-                    row = matrix[index[out]]
-                    row[col] = ring.add(row[col], c)
-        diff[degree] = matrix
-    cx = ChainComplex(dga, (a0, a1), case, core_basis, diff)
-    if morita:
-        return ChainComplex(dga, (a0, a1), case, basis, {}, core=cx)
-    return cx
+    split = alg.kind == "split"
+    base = alg.base if split else alg
+    words = sorted(alg.words(dim), key=alg.word_key)
+    part = {w: w if split else (1, w) for w in words}  # word -> (summand, base word)
+    core_words = sorted(base.words(dim), key=base.word_key)
+    at = {word: k for k, word in enumerate(core_words)}
+    matrix = base.kind == "matrix" and case == "II"
+    # shapes: the outer words of a generator's full labels, in order; where:
+    # block -> the place among them of each core word.  In case II
+    # (e_i E_ab, e_j E_cd) is E_bc in block (i, j, a, d), and (e_i, e_j) the
+    # one word of a one-dimensional base in block (i, j, 1, 1); in case I
+    # e_i x is x in block (i, i, 1, 1)
+    shapes = [(w,) for w in words] if case == "I" else list(itertools.product(words, repeat=2))
+    where: dict[tuple, list] = defaultdict(lambda: [0] * len(core_words))
+    for place, shape in enumerate(shapes):
+        (i, x), (j, y) = part[shape[0]], part[shape[-1]]
+        block, word = ((i, j, x[0], y[1]), (x[1], y[0])) if matrix else ((i, j, 1, 1), x)
+        where[block][at[word]] = place
+    basis: dict[int, list] = {}
+    core_basis: dict[int, list] = {}
+    for gen in dga.generators:
+        degree, name = dga.reduce_degree(gen.degree + 1), gen.name
+        core_basis.setdefault(degree, []).extend((w, name) for w in core_words)
+        basis.setdefault(degree, []).extend((shape[0], name, *shape[1:]) for shape in shapes)
+    positions = {
+        degree: {
+            block: [g + place for g in range(0, len(labels), len(shapes)) for place in places]
+            for block, places in where.items()
+        }
+        for degree, labels in basis.items()
+    }
+
+    terms, ring, mul = _term_index(dga, (a0, a1)), alg.ring, base.mul_words
+    cores = {}
+    for key in dict.fromkeys(block[:2] for block in where):
+        diff: dict[int, list[list]] = {}
+        for degree, labels in core_basis.items():
+            target_labels = core_basis.get(dga.reduce_degree(degree + 1), [])
+            index = {label: i for i, label in enumerate(target_labels)}
+            rows = [[ring.zero] * len(labels) for _ in target_labels]
+            for col, label in enumerate(labels):
+                found = terms.get(key, {}).get((label[1],))
+                if found:
+                    for out, c in _apply_terms(mul, found, (label,)):
+                        row = rows[index[out]]
+                        row[col] = ring.add(row[col], c)
+            diff[degree] = rows
+        cores[key] = ChainComplex(dga, base, "I", core_basis, diff)
+    return BlockComplex(dga, (a0, a1), case, basis, cores, list(where), positions)
 
 
 class HomologyResult:
     """Per-degree dimensions with representative cycles.
 
-    The core of the complex is eliminated: its representatives in a degree
-    are the kernel basis vectors of d, one per free column of its reduced
-    echelon form in column order, that enlarge the span of the incoming
-    boundaries.  Each core representative z is then moved into each block
-    (a, d) as E_a1 z E_1d, and the moved vectors are sorted by free column.
-    These are exactly the representatives of the whole complex: the reduced
-    echelon form is unique and d is block diagonal, so the echelon form of
-    the whole is that of each block, whose columns keep the core's order,
-    and a cycle of one block enlarges the span exactly when it does within
-    its block.  With one block the move is the identity.  ``image_spans``
-    holds the core's spans.
+    Each core is eliminated once: its representatives in a degree are the
+    kernel basis vectors of d, one per free column of its reduced echelon
+    form in column order, that enlarge the span of the incoming boundaries.
+    Moved into each block of their core, they are sorted by the full
+    position of their free column.  These are exactly the whole complex's
+    representatives: d is block diagonal and the reduced echelon form is
+    unique, so it is that of each block, whose columns keep their core's
+    order, and a cycle of one block enlarges the span exactly when it does
+    within its block.  ``image_spans`` and ``core_representatives`` are
+    keyed by (core, degree); :attr:`representatives`, the full-basis
+    vectors, is built on first use."""
 
-    Only the core representatives and the (block, core index) origin of
-    each representative are kept: :meth:`representative_strings` reads
-    a moved representative off its core vector's nonzero entries, and
-    :attr:`representatives`, the full-basis vectors, is built on first
-    use."""
-
-    def __init__(self, cx: ChainComplex):
+    def __init__(self, cx: BlockComplex):
         self.cx = cx
-        core = cx.core
         ring = cx.field
-        degrees = core.degrees()
-        # core width, not the full width of cx.basis: reduce full vectors
+        # core widths, not the full width of cx.basis: reduce full vectors
         # through class_of, never against these spans directly
-        self.image_spans: dict[int, Span] = {}
-        for degree in degrees:
-            span = Span(ring, len(core.basis[degree]))
-            for prev in degrees:
-                if core._next(prev) == degree:
-                    for column in zip(*core.matrix(prev)):
-                        span.add(column)
-            self.image_spans[degree] = span
-        self.core_representatives: dict[int, list[list]] = {}
+        self.image_spans: dict[tuple, Span] = {}
+        self.core_representatives: dict[tuple, list[list]] = {}
+        free: dict[tuple, list[int]] = {}
+        for key, core in cx.cores.items():
+            degrees = core.degrees()
+            for degree in degrees:
+                span = Span(ring, len(core.basis[degree]))
+                for prev in degrees:
+                    if core._next(prev) == degree:
+                        for column in zip(*core.matrix(prev)):
+                            span.add(column)
+                self.image_spans[key, degree] = span
+            for degree in degrees:
+                # with no rows the kernel is everything: the unit vectors
+                cycles = kernel_basis(core.matrix(degree), len(core.basis[degree]), ring)
+                span = self.image_spans[key, degree].copy()
+                reps = self.core_representatives[key, degree] = [z for z in cycles if span.add(z)]
+                # a kernel basis vector's free column is its last nonzero entry
+                free[key, degree] = [max(j for j, c in enumerate(z) if c) for z in reps]
         self.dims: dict[int, int] = {}
         self._origin: dict[int, list] = {}  # degree -> (block, core index) per representative
         self._slot: dict[int, dict] = {}    # its inverse
-        self._class_spans: dict[int, Span] = {}
-        for degree in degrees:
-            # with no rows the kernel is everything: the unit vectors
-            cycles = kernel_basis(core.matrix(degree), len(core.basis[degree]), ring)
-            span = self.image_spans[degree].copy()
-            reps = [z for z in cycles if span.add(z)]
-            self.core_representatives[degree] = reps
+        self._class_spans: dict[tuple, Span] = {}
+        for degree in cx.degrees():
             positions = cx._positions[degree]
-            # a kernel basis vector's free column is its last nonzero entry
-            free = [max(j for j, c in enumerate(z) if not ring.is_zero(c)) for z in reps]
             order = sorted(
                 (positions[block][col], block, k)
                 for block in cx.blocks
-                for k, col in enumerate(free)
+                for k, col in enumerate(free[block[:2], degree])
             )
             origin = [(block, k) for _col, block, k in order]
             self.dims[degree] = len(origin)
@@ -454,12 +440,12 @@ class HomologyResult:
         move = self.cx._move
         reps = self.core_representatives
         return {
-            degree: [move(degree, reps[degree][k], block) for block, k in origin]
+            degree: [move(degree, reps[block[:2], degree][k], block) for block, k in origin]
             for degree, origin in self._origin.items()
         }
 
     def representative_strings(self, degree: int) -> list[str]:
-        """The representatives as printed, read off the core: entry j of a
+        """The representatives as printed, read off the cores: entry j of a
         core representative moved into a block is the label at the block's
         position of j, and the terms are written in full-basis order."""
         cx = self.cx
@@ -467,13 +453,16 @@ class HomologyResult:
         positions = cx._positions[degree]
         ring = cx.field
         one = ring.one
-        supports = [ring.support(z) for z in self.core_representatives[degree]]
+        supports = {
+            key: [ring.support(z) for z in self.core_representatives[key, degree]]
+            for key in cx.cores
+        }
         texts: dict[int, str] = {}
         out = []
         for block, k in self._origin[degree]:
             at = positions[block]
             parts = []
-            for i, c in sorted((at[j], c) for j, c in supports[k]):
+            for i, c in sorted((at[j], c) for j, c in supports[block[:2]][k]):
                 text = texts.get(i)
                 if text is None:
                     text = texts[i] = cx.label_str(labels[i])
@@ -483,25 +472,30 @@ class HomologyResult:
 
     def class_of(self, degree: int, vector: list) -> list:
         """Coordinates of a cycle's class in the representative basis: each
-        block of the vector is read on the core."""
+        block of the vector is read on its core."""
         out = [self.cx.field.zero] * self.dims[degree]
         slot = self._slot[degree]
         for block, piece in self.cx._split(degree, vector):
-            for k, c in enumerate(self.core_class_of(degree, piece)):
+            for k, c in enumerate(self.core_class_of(block[:2], degree, piece)):
                 out[slot[block, k]] = c
         return out
 
-    def core_class_of(self, degree: int, vector: list) -> list:
-        """Coordinates of a core cycle's class in the core representatives.
-
-        The degree's rows [rep_k | e_k] and [boundary | 0] are put in
+    def core_class_of(self, key: tuple, degree: int, vector: list) -> list:
+        """Coordinates of a cycle's class in the representatives of core
+        ``key``.  The degree's rows [rep_k | e_k] and [boundary | 0] are put in
         echelon form once; [v | 0] then reduces to [0 | -coordinates of v],
         and to a nonzero left part when v is not a cycle."""
         ring = self.cx.field
-        span = self._class_spans.get(degree)
-        if span is None:
-            span = self._class_spans[degree] = self._class_span(degree)
-        width = len(self.cx.core.basis[degree])
+        span = self._class_spans.get((key, degree))
+        if span is None:  # [boundary | 0] and [rep_k | e_k], once
+            reps, image = self.core_representatives[key, degree], self.image_spans[key, degree]
+            pad = [ring.zero] * len(reps)
+            span = self._class_spans[key, degree] = Span(ring, image.width + len(reps))
+            for row in image.rows:
+                span.add(row + pad)
+            for k, rep in enumerate(reps):
+                span.add(rep + pad[:k] + [ring.one] + pad[k + 1:])
+        width = len(self.cx.cores[key].basis[degree])
         if len(vector) != width:
             raise NcdgaError("vector and core basis widths differ in this degree")
         reduced = span.reduce(list(vector) + [ring.zero] * (span.width - width))
@@ -509,30 +503,22 @@ class HomologyResult:
             raise NcdgaError("vector is not a cycle class in this degree")
         return [ring.neg(c) for c in reduced[width:]]
 
-    def _class_span(self, degree: int) -> Span:
-        ring = self.cx.field
-        reps = self.core_representatives[degree]
-        image = self.image_spans[degree]
-        pad = [ring.zero] * len(reps)
-        span = Span(ring, image.width + len(reps))
-        for row in image.rows:
-            span.add(row + pad)
-        for k, rep in enumerate(reps):
-            tag = pad[:]
-            tag[k] = ring.one
-            span.add(rep + tag)
-        return span
 
-
-def homology(cx: ChainComplex) -> HomologyResult:
+def homology(cx: BlockComplex) -> HomologyResult:
     return HomologyResult(cx)
+
+
+def _compose(bx: tuple, by: tuple):
+    """The block of a product of classes of blocks (i, j, a, d) and
+    (j, l, d, d'): (i, l, a, d'); None for every other pair of blocks."""
+    return (bx[0], by[1], bx[2], by[3]) if bx[1] == by[0] and bx[3] == by[2] else None
 
 
 class HomologyProduct:
     """The degree-one-shifted product induced on homology by the arity-two
     augmented operation, for a triple of augmentations sharing one
-    coefficient morphism; its complexes and its term index are read off the
-    source DGA's words, over the common target ``algebra``."""
+    coefficient morphism, taken block by block on the cores (see the module
+    docstring), over the common target ``algebra``."""
 
     def __init__(self, dga: SemifreeDGA, e0, e1, e2, case: str = "I"):
         self.case = case
@@ -543,28 +529,49 @@ class HomologyProduct:
         pairs = ((e0, e1), (e1, e2), (e0, e2))
         self.cx01, self.cx12, self.cx02 = (_complex(dga, a, b, case) for a, b in pairs)
         self.h01, self.h12, self.h02 = (homology(cx) for cx in (self.cx01, self.cx12, self.cx02))
-        # the arity-two terms under their survivor pairs, read by every product
-        self.terms = _term_index(dga, self.augs, case)
+        # the arity-two terms under their summands and survivor pairs
+        self.terms = _term_index(dga, self.augs)
 
     def product_chain(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
-        """The chain-level product of two cycles, as a cx02 vector."""
-        value = self._chain(self.cx01.support(deg_x, x_vec), self.cx12.support(deg_y, y_vec))
+        """The chain-level product of two chains, as a cx02 vector: the core
+        product of each pair of their blocks that compose, moved into the
+        composed block."""
+        cx01, cx12, cx02 = self.cx01, self.cx12, self.cx02
         degree = self.output_degree(deg_x, deg_y)
-        return degree, _vector(self.cx02, degree, value)
+        ring = cx02.field
+        out = [ring.zero] * len(cx02.basis.get(degree, ()))
+        ys = [(by, cx12.cores[by[:2]].support(deg_y, y)) for by, y in cx12._split(deg_y, y_vec)]
+        for bx, x in cx01._split(deg_x, x_vec):
+            xs = cx01.cores[bx[:2]].support(deg_x, x)
+            for by, y_terms in ys:
+                block = _compose(bx, by)
+                if block:
+                    vec = self._chain((*bx[:2], by[1]), degree, xs, y_terms)
+                    for i, c in zip(cx02._positions[degree][block], vec) if vec else ():
+                        out[i] = ring.add(out[i], c)
+        return degree, out
 
-    def _chain(self, xs: list, ys: list) -> dict:
-        """The product of two chains, given and returned as (label, c) terms:
-        it is bilinear, so the label pairs of their supports add up."""
-        mul, case, terms, ring = self.algebra.mul_words, self.case, self.terms, self.algebra.ring
+    def _chain(self, summands: tuple, degree: int, xs: list, ys: list) -> list:
+        """The product of core chains of summands (i, j) and (j, l), given as
+        (label, c) terms, as a vector of core (i, l) of cx02 ([] for zero):
+        the label pairs of their supports add up."""
+        i, _j, l = summands
+        core = self.cx02.cores[i, l]
+        mul, ring, terms = core.algebra.mul_words, core.field, self.terms.get(summands, {})
         value: dict = {}
         for x, cx in xs:
             for y, cy in ys:
                 found = terms.get((x[1], y[1]))
                 if found:
                     cxy = ring.mul(cx, cy)
-                    for label, c in _apply_terms(mul, case, found, (x, y)):
+                    for label, c in _apply_terms(mul, found, (x, y)):
                         ring.add_term(value, label, ring.mul(cxy, c))
-        return value
+        if not value:
+            return []
+        vec = [value.pop(label, ring.zero) for label in core.basis.get(degree, ())]
+        if value:
+            raise NcdgaError("product landed outside the complex")
+        return vec
 
     def output_degree(self, deg_x: int, deg_y: int) -> int:
         return self.dga.reduce_degree(deg_x + deg_y)
@@ -575,52 +582,43 @@ class HomologyProduct:
 
     def table(self):
         """Products of all representative pairs, in homology coordinates.
-
-        Only the core pairs are multiplied.  The product contracts the
-        inner matrix indices, E_1d E_a'1 = delta(d, a') E_11, so a class of
-        block (a, d) times one of block (a', d') is zero unless d = a', and
-        then it is the product of their core classes moved to block
-        (a, d').  A complex of one block is the block (1, 1)."""
+        Only core pairs are multiplied: the representatives of cores (i, j)
+        of cx01 and (j, l) of cx12, into core (i, l) of cx02.  A class of
+        block (i, j, a, d) times one of (j, l, d, d') is their core product
+        moved to block (i, l, a, d'); other pairs of blocks give zero."""
         h01, h12, h02 = self.h01, self.h12, self.h02
-        core02 = self.cx02.core
         xs, ys = (
-            {d: [h.cx.core.support(d, z) for z in zs] for d, zs in h.core_representatives.items()}
+            {
+                (key, d): [h.cx.cores[key].support(d, z) for z in zs]
+                for (key, d), zs in h.core_representatives.items()
+            }
             for h in (h01, h12)
         )
         products = {}
-        for deg_x, x_terms in xs.items():
-            for k, x in enumerate(x_terms):
-                for deg_y, y_terms in ys.items():
-                    for l, y in enumerate(y_terms):
-                        degree, value = self.output_degree(deg_x, deg_y), self._chain(x, y)
-                        coords = []  # a zero product keeps the zero coordinates below
-                        if value:
-                            coords = h02.core_class_of(degree, _vector(core02, degree, value))
-                        products[deg_x, k, deg_y, l] = degree, coords
+        for ((i, j), deg_x), x_terms in xs.items():
+            for ((j2, l), deg_y), y_terms in ys.items():
+                degree = self.output_degree(deg_x, deg_y)
+                for k, x in enumerate(x_terms if j2 == j else ()):
+                    for m, y in enumerate(y_terms):
+                        # a zero product keeps the zero coordinates below
+                        vec = self._chain((i, j, l), degree, x, y)
+                        coords = vec and h02.core_class_of((i, l), degree, vec)
+                        products[(i, j, l), deg_x, k, deg_y, m] = coords
         zero = self.cx02.field.zero
         out = {}
         for deg_x, origins_x in h01._origin.items():
-            for i, (block_x, k) in enumerate(origins_x):
+            for i, (bx, k) in enumerate(origins_x):
                 for deg_y, origins_y in h12._origin.items():
-                    for j, (block_y, l) in enumerate(origins_y):
-                        degree, coords = products[deg_x, k, deg_y, l]
-                        full = [zero] * h02.dims.get(degree, 0)
-                        if coords and block_x[1] == block_y[0]:
-                            slot = h02._slot[degree]
-                            block = (block_x[0], block_y[1])
-                            for m, c in enumerate(coords):
-                                full[slot[block, m]] = c
+                    degree = self.output_degree(deg_x, deg_y)
+                    size = h02.dims.get(degree, 0)
+                    for j, (by, m) in enumerate(origins_y):
+                        full = [zero] * size
+                        block = _compose(bx, by)
+                        coords = block and products[(*bx[:2], by[1]), deg_x, k, deg_y, m]
+                        for n, c in enumerate(coords or ()):
+                            full[h02._slot[degree][block, n]] = c
                         out[deg_x, i, deg_y, j] = degree, full
         return out
-
-
-def _vector(cx: ChainComplex, degree: int, value: dict) -> list:
-    """A product's terms, taken out of ``value``, as a vector of ``cx``;
-    they must sum to zero in a degree without labels."""
-    vec = [value.pop(label, cx.field.zero) for label in cx.basis.get(degree, ())]
-    if value:
-        raise NcdgaError("product landed outside the complex")
-    return vec
 
 
 def product_on_homology(dga: SemifreeDGA, e0, e1, e2, case: str = "I") -> HomologyProduct:

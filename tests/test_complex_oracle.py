@@ -15,7 +15,10 @@ reads it off the dense full-basis vector.
 factors' supports; the oracle evaluates the operation on each pair of
 representatives as library elements, again through ``_evaluate``, and
 reads the product's class off the chain.
-Generated DGAs are moved into ``matrix 2`` and ``split 2 matrix 2``."""
+Generated DGAs are moved into ``matrix 2`` and ``split 2 matrix 2``, and
+the commutator DGA is taken into split targets over a matrix and a one
+dimensional base with augmentations whose summand components differ, so
+that every pair of summands has its own core."""
 
 import itertools
 import random
@@ -31,6 +34,7 @@ from ncdga import (
     Zp,
     bilinearized_complex,
     homology,
+    parse_augmentation,
     parse_dga,
     product_on_homology,
 )
@@ -60,15 +64,24 @@ def per_column_matrix(cx, labels, target_labels, components):
 
 
 def assert_matches_per_column(cx):
-    """The core's matrices and the full ones, on every label of each basis,
-    against the components of the DGA with its coefficients changed."""
+    """The full matrices, on every label of the basis, against the
+    components of the DGA with its coefficients changed; and each core's
+    matrices against the full ones read at the positions of each of its
+    blocks."""
     base, augs = _prepare(cx.dga, cx.augs)
     components = augmented_components(base, augs, 1)
-    for complex_ in {id(cx): cx, id(cx.core): cx.core}.values():
-        for degree, labels in complex_.basis.items():
-            target = complex_.basis.get(complex_._next(degree), [])
-            expected = per_column_matrix(complex_, labels, target, components)
-            assert complex_.matrix(degree) == (expected if target else [])
+    for degree, labels in cx.basis.items():
+        after = cx._next(degree)
+        target = cx.basis.get(after, [])
+        expected = per_column_matrix(cx, labels, target, components)
+        assert cx.matrix(degree) == (expected if target else [])
+        for block in cx.blocks:
+            core = cx.cores[block[:2]].matrix(degree)
+            if not target:
+                assert core == []
+                continue
+            rows, cols = cx._positions[after][block], cx._positions[degree][block]
+            assert core == [[expected[r][c] for c in cols] for r in rows]
 
 
 def assert_strings_match_dense(result):
@@ -101,7 +114,9 @@ def test_corpus_complexes_match_per_column_evaluation(ring, which, n, case):
     nonzero = 0
     for pair in [(e0, e0), (e0, e1), (e1, e0)]:
         cx = _check(dga, *pair, case)
-        nonzero += any(any(row) for degree in cx.degrees() for row in cx.core.matrix(degree))
+        nonzero += any(
+            any(row) for core in cx.cores.values() for d in cx.degrees() for row in core.matrix(d)
+        )
     assert nonzero
 
 
@@ -221,3 +236,52 @@ def test_generated_products_match_per_pair_evaluation(instance, target, rng):
         assert assert_products_match_per_pair_evaluation(
             product_on_homology(dga, e1, e0, e1, case), rng
         )
+
+
+# values of x and y that commute in every summand, so that each is an
+# augmentation of d a = x*y - y*x; the two differ in each summand
+SPLIT_TARGETS = {
+    "split 3 matrix 1": [
+        "x = e1 + 2*e2 + 3*e3\ny = 2*e1 + e3",
+        "x = 2*e1 + 2*e2 + e3\ny = e2 + 5*e3",
+    ],
+    "split 2 free": ["x = e1 + 2*e2\ny = 3*e1", "x = 2*e1 + 2*e2\ny = e2 + 1"],
+    "split 2 matrix 2": [
+        "x = e1*E11 + e2*E11 + e2*E22\ny = e1*E11 + e2*E12",
+        "x = E11 + E22 + e1*E12\ny = 2*E11 + 2*E22 + e1*E12 + e2*E21",
+    ],
+    "split 2 matrix 3": [
+        "x = e1*E11 + e2*E11 + e2*E22 + e2*E33\ny = e1*E11 + e2*E12",
+        "x = E11 + E22 + E33 + e1*E12 + e2*E23\ny = 2*E11 + 2*E22 + 2*E33 + e1*E13 + e2*E21",
+    ],
+}
+
+
+def _split_augmentations(ring, target):
+    dga = _dga(ring, "commutator")
+    augs = [
+        parse_augmentation(f"target {target} over {ring.name}\n{text}\n", dga)
+        for text in SPLIT_TARGETS[target]
+    ]
+    assert all(aug.check().ok for aug in augs)
+    return dga, augs
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("ring", [Z3, Q], ids=["Z3", "Q"])
+@pytest.mark.parametrize("target", list(SPLIT_TARGETS))
+def test_split_complexes_match_per_column_evaluation(target, ring, case):
+    dga, augs = _split_augmentations(ring, target)
+    for pair in itertools.product(augs, repeat=2):
+        _check(dga, *pair, case)
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("target", list(SPLIT_TARGETS))
+def test_split_products_match_per_pair_evaluation(target, case):
+    """Over Q: a case II table over split 2 matrix 3 has some 10^5 entries."""
+    dga, (e0, e1) = _split_augmentations(Q, target)
+    rng = random.Random(f"{target}-{case}")
+    for triple in [(e0, e1, e1), (e1, e0, e1)]:
+        prod = product_on_homology(dga, *triple, case)
+        assert assert_products_match_per_pair_evaluation(prod, rng)

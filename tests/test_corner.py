@@ -1,15 +1,16 @@
-"""Case II over matrix n through the corner block, against the full
+"""Case II over matrix n through its case I core, against the full
 construction it replaces.
 
-Over ``matrix n`` the case II complex is n^2 copies of its corner, the
-labels (E_1b, g, E_c1).  The library evaluates and eliminates only the
-corner and moves its representatives and products into the blocks.  The
-oracle below is the full construction: one adjoint per label of the full
-basis, elimination of the whole block-diagonal matrix, and each class
-solved afresh in [representatives | boundaries].  The two must agree on
-matrices, representatives, their strings and the product table.  A case I
-complex is one block, its own core, and goes through the same path; its
-oracle eliminates the whole complex the same way.
+Over ``matrix n`` the case II complex is n^2 copies of one core, the case
+I complex over matrix n, whose label (E_bc, g) sits at (E_ab, g, E_cd) in
+block (a, d).  The library evaluates and eliminates only the core and
+moves its representatives and products into the blocks.  The oracle below
+is the full construction: one adjoint per label of the full basis,
+elimination of the whole block-diagonal matrix, and each class solved
+afresh in [representatives | boundaries].  The two must agree on matrices,
+representatives, their strings and the product table.  A case I complex
+over matrix n is one block of the same core and goes through the same
+path; its oracle eliminates the whole complex the same way.
 """
 
 import hashlib
@@ -117,7 +118,7 @@ def full_complex(dga, e0, e1):
             for tw, c in _evaluate_case2(alg, components, chain).terms.items():
                 matrix[index[(tw.coeffs[0], tw.gens[0], tw.coeffs[1])]][col] = c
         diff[degree] = matrix
-    return ChainComplex(base, (a0, a1), "II", basis, diff)
+    return ChainComplex(base, alg, "II", basis, diff)
 
 
 class FullHomology:
@@ -208,12 +209,12 @@ def _assert_matches_whole_elimination(case, kind):
     oracle = full_complex(dga, e0, e1) if kind == "II" else cx
     blocks = n * n if kind == "II" else 1
     assert len(cx.blocks) == blocks
-    assert (cx.core is cx) == (kind == "I")
+    assert list(cx.cores) == [(1, 1)]
     assert cx.basis == oracle.basis
     for degree in cx.degrees():
         assert cx.matrix(degree) == oracle.matrix(degree)
         # the core is one of the blocks
-        assert len(cx.core.basis[degree]) * blocks == len(cx.basis[degree])
+        assert len(cx.cores[1, 1].basis[degree]) * blocks == len(cx.basis[degree])
     result, full = homology(cx), FullHomology(oracle)
     assert result.dims == full.dims
     for degree in cx.degrees():
@@ -256,7 +257,7 @@ def test_corner_dimensions_equal_case1_dimensions(ring, which, n):
     for pair in [(e0, e0), (e0, e1), (e1, e0)]:
         result = homology(bilinearized_complex(dga, *pair, "II"))
         case1 = homology(bilinearized_complex(dga, *pair, "I"))
-        core_dims = {d: len(reps) for d, reps in result.core_representatives.items()}
+        core_dims = {d: len(reps) for (_core, d), reps in result.core_representatives.items()}
         assert core_dims == case1.dims
         assert result.dims == {d: n * n * k for d, k in case1.dims.items()}
 
@@ -325,12 +326,13 @@ def test_corner_product_table_samples_match_full_construction(ring, which):
 
 @pytest.mark.parametrize("ring", [Z2, Q], ids=["Z2", "Q"])
 def test_case1_classes_match_fresh_solve(ring):
-    """Case I is one block, its own core; its factored classes against a
-    fresh solve of [representatives | boundaries] per product."""
+    """Case I over matrix n is one block, a copy of its one core; its
+    factored classes against a fresh solve of [representatives |
+    boundaries] per product."""
     dga = _dga(ring, "commutator")
     e0, e1 = _augmentations(dga, ring, "commutator", 3)
     prod = product_on_homology(dga, e0, e1, e1, "I")
-    assert prod.cx01.core is prod.cx01
+    assert list(prod.cx01.cores) == [(1, 1)] and len(prod.cx01.blocks) == 1
     for key, (degree, coords) in prod.table().items():
         deg_x, i, deg_y, j = key
         chain_degree, vec = prod.product_chain(
@@ -342,7 +344,7 @@ def test_case1_classes_match_fresh_solve(ring):
             continue
         h02 = prod.h02
         columns = [list(r) for r in h02.representatives[degree]] + [
-            list(r) for r in h02.image_spans[degree].rows
+            list(r) for r in h02.image_spans[(1, 1), degree].rows
         ]
         solution = solve_in_span(columns, vec, prod.cx02.field)
         assert coords == solution[: len(h02.representatives[degree])]
@@ -370,9 +372,9 @@ def test_core_class_of_rejects_full_vectors():
     result = homology(bilinearized_complex(dga, e0, e0, "II"))
     degree = min(result.dims)
     vector = result.representatives[degree][0]
-    assert len(vector) == 4 * len(result.cx.core.basis[degree])
+    assert len(vector) == 4 * len(result.cx.cores[1, 1].basis[degree])
     with pytest.raises(NcdgaError, match="widths differ"):
-        result.core_class_of(degree, vector)
+        result.core_class_of((1, 1), degree, vector)
     assert result.class_of(degree, vector)[0] == Q.one
 
 

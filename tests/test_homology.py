@@ -157,7 +157,7 @@ def test_not_a_complex_detected(toy_specialized):
     broken_diff[1][0][0] = cx.field.one  # d(c4) = c2 ...
     broken_diff[2][0][0] = cx.field.one  # ... and d(c2) = c1
     with pytest.raises(NotAComplexError):
-        ChainComplex(cx.dga, cx.augs, "I", cx.basis, broken_diff)
+        ChainComplex(cx.dga, cx.algebra, "I", cx.basis, broken_diff)
 
 
 @pytest.mark.parametrize("case", ["I", "II"])

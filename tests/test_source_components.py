@@ -142,8 +142,10 @@ def assert_complexes_match_the_copy(dga, augs):
             oracle = _complex(base, a0, a1, case)
             assert cx.basis == oracle.basis
             assert cx.blocks == oracle.blocks
-            for degree in cx.degrees():
-                assert cx.core.matrix(degree) == oracle.core.matrix(degree)
+            assert list(cx.cores) == list(oracle.cores)
+            for key, core in cx.cores.items():
+                for degree in cx.degrees():
+                    assert core.matrix(degree) == oracle.cores[key].matrix(degree)
 
 
 @st.composite

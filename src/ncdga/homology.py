@@ -30,13 +30,15 @@ a2 is the case I product of their core labels by the terms of summands
 (i, j, l), in block (i, l, a, d'); every other pair of blocks gives zero.
 
 Each core is built from the source DGA's words read through the
-augmentations' shared coefficient morphism (:func:`augmented_components`),
-then squared and eliminated once; its representatives and products are
-moved into its blocks.  The results equal those of eliminating the whole
-complex, as each block keeps its core's order: per generator the full
-basis runs over u = e_i E_ab, then v = e_j E_cd (case I: e_i E_bc), so
-within a block over E_bc in the core's order (see :class:`HomologyResult`).
-Representatives are printed from their core vectors' nonzero entries;
+augmentations' shared coefficient morphism (:func:`augmented_components`)
+and squared; each of its matrices is then eliminated once, for its kernel,
+and the rank of each d follows by rank-nullity (see :class:`HomologyResult`).
+Its representatives and products are moved into its blocks.  The results
+equal those of eliminating the whole complex, as each block keeps its
+core's order: per generator the full basis runs over u = e_i E_ab, then
+v = e_j E_cd (case I: e_i E_bc), so within a block over E_bc in the core's
+order.  Representatives are printed from their core vectors' nonzero
+entries, in core order, which is full-basis order within a block;
 full-basis vectors and matrices are built only on request.
 """
 
@@ -129,6 +131,18 @@ class Span:
         clone.supports = [support[:] for support in self.supports]
         return clone
 
+    @classmethod
+    def whole(cls, ring: Ring, width: int) -> "Span":
+        """The whole space: the unit rows, already in reduced echelon form."""
+        span = cls(ring, width)
+        for j in range(width):
+            row = [ring.zero] * width
+            row[j] = ring.one
+            span.rows.append(row)
+            span.pivots.append(j)
+            span.supports.append([j])
+        return span
+
 
 def kernel_basis(matrix: list[list], ncols: int, ring: Ring) -> list[list]:
     """Basis of the null space of a (rows x ncols) matrix, one vector per
@@ -172,13 +186,16 @@ class ChainComplex:
     def _next(self, degree: int) -> int:
         return self.dga.reduce_degree(degree + 1)
 
-    def label_str(self, label) -> str:
-        """A label as printed: the generator between its words, units left out."""
-        word_str = self.algebra.word_str
+    def label_str(self, label, word_str=None) -> str:
+        """A label as printed: the generator between its words, units left
+        out.  ``word_str`` gives a word's text, the algebra's by default."""
+        word_str = word_str or self.algebra.word_str
         parts = [word_str(label[0]), label[1]]
         if len(label) == 3:  # a case II label has a word on each side
             parts.append(word_str(label[2]))
-        return "*".join([part for part in parts if part != "1"])
+        if "1" in parts:
+            parts = [part for part in parts if part != "1"]
+        return "*".join(parts)
 
     def matrix(self, degree: int) -> list[list]:
         return self.diff.get(degree, [])
@@ -377,11 +394,19 @@ def _complex(dga: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) ->
 class HomologyResult:
     """Per-degree dimensions with representative cycles.
 
-    Each core is eliminated once: its representatives in a degree are the
-    kernel basis vectors of d, one per free column of its reduced echelon
-    form in column order, that enlarge the span of the incoming boundaries.
-    Moved into each block of their core, they are sorted by the full
-    position of their free column.  These are exactly the whole complex's
+    Each core matrix is row-eliminated once, by :func:`kernel_basis`: the
+    cycles of a degree are the kernel basis vectors of d out of it, one per
+    free column of its reduced echelon form, in column order.  By
+    rank-nullity the d into the degree has rank r = width - dim ker of its
+    source degree, and the representatives are the cycles that enlarge the
+    span of the incoming boundaries.  With r = 0 that is every cycle; with
+    r = dim ker none, since the boundaries lie in the cycles (d^2 = 0 is
+    checked when the core is built); only with 0 < r < dim ker are the
+    cycles reduced against a copy of the span.  The span, kept in
+    ``image_spans`` with its rank r, is the unit rows when r = width;
+    only 0 < r < width column-eliminates the incoming d.
+    The representatives, moved into each block of their core, are sorted
+    by the full position of their free column.  These are exactly the whole complex's
     representatives: d is block diagonal and the reduced echelon form is
     unique, so it is that of each block, whose columns keep their core's
     order, and a cycle of one block enlarges the span exactly when it does
@@ -399,18 +424,29 @@ class HomologyResult:
         free: dict[tuple, list[int]] = {}
         for key, core in cx.cores.items():
             degrees = core.degrees()
+            # with no rows the kernel is everything: the unit vectors
+            kernels = {d: kernel_basis(core.matrix(d), len(core.basis[d]), ring) for d in degrees}
+            # degree -> the one degree whose d lands in it (d + 1 is injective)
+            prev_of = {core._next(d): d for d in degrees}
             for degree in degrees:
-                span = Span(ring, len(core.basis[degree]))
-                for prev in degrees:
-                    if core._next(prev) == degree:
-                        for column in zip(*core.matrix(prev)):
-                            span.add(column)
+                width, cycles, prev = len(core.basis[degree]), kernels[degree], prev_of.get(degree)
+                # rank-nullity: the rank of the d into this degree
+                rank = 0 if prev is None else len(core.basis[prev]) - len(kernels[prev])
+                if rank == width:
+                    span = Span.whole(ring, width)
+                else:
+                    span = Span(ring, width)
+                    for column in zip(*core.matrix(prev)) if rank else ():
+                        span.add(column)
                 self.image_spans[key, degree] = span
-            for degree in degrees:
-                # with no rows the kernel is everything: the unit vectors
-                cycles = kernel_basis(core.matrix(degree), len(core.basis[degree]), ring)
-                span = self.image_spans[key, degree].copy()
-                reps = self.core_representatives[key, degree] = [z for z in cycles if span.add(z)]
+                if not rank:
+                    reps = cycles
+                elif rank == len(cycles):  # boundaries fill the cycles (d^2 = 0)
+                    reps = []
+                else:
+                    span = span.copy()
+                    reps = [z for z in cycles if span.add(z)]
+                self.core_representatives[key, degree] = reps
                 # a kernel basis vector's free column is its last nonzero entry
                 free[key, degree] = [max(j for j, c in enumerate(z) if c) for z in reps]
         self.dims: dict[int, int] = {}
@@ -447,26 +483,32 @@ class HomologyResult:
     def representative_strings(self, degree: int) -> list[str]:
         """The representatives as printed, read off the cores: entry j of a
         core representative moved into a block is the label at the block's
-        position of j, and the terms are written in full-basis order."""
+        position of j.  A block's positions increase with the core index
+        (see the module docstring), so the terms, read in core order from
+        each core vector's support, found once per core, are in full-basis
+        order.  Each word's and each label's text is made once per call, by
+        :meth:`ChainComplex.label_str`."""
         cx = self.cx
         labels = cx.basis[degree]
         positions = cx._positions[degree]
         ring = cx.field
-        one = ring.one
+        one, scalar_str = ring.one, ring.scalar_str
         supports = {
             key: [ring.support(z) for z in self.core_representatives[key, degree]]
             for key in cx.cores
         }
+        # each word's text once per call; each label's once per call
+        word_str = functools.lru_cache(maxsize=None)(cx.algebra.word_str)
         texts: dict[int, str] = {}
         out = []
         for block, k in self._origin[degree]:
             at = positions[block]
             parts = []
-            for i, c in sorted((at[j], c) for j, c in supports[block[:2]][k]):
-                text = texts.get(i)
+            for j, c in supports[block[:2]][k]:
+                text = texts.get(i := at[j])
                 if text is None:
-                    text = texts[i] = cx.label_str(labels[i])
-                parts.append(text if c == one else f"{ring.scalar_str(c)}*{text}")
+                    text = texts[i] = cx.label_str(labels[i], word_str)
+                parts.append(text if c == one else f"{scalar_str(c)}*{text}")
             out.append(" + ".join(parts) if parts else "0")
         return out
 

@@ -146,20 +146,6 @@ def require_shared_augmentations(dga: SemifreeDGA, augs: Sequence[Augmentation])
     require_augmentations(dga, augs)
 
 
-def _prepare(dga: SemifreeDGA, augs: Sequence[Augmentation]):
-    """Check the entries (:func:`require_shared_augmentations`), then move
-    everything over the (common) augmentation target: the DGA with its
-    coefficients changed and the augmentations rebuilt over it.  The
-    mirror comparison mirrors this copy; everything else reads the
-    source words (:func:`augmented_components`)."""
-    require_shared_augmentations(dga, augs)
-    first = augs[0]
-    if first.morphism.is_identity:
-        return dga, list(augs)
-    base = dga.change_coefficients(first.morphism)
-    return base, [Augmentation(base, dict(aug.values)) for aug in augs]
-
-
 # -- the eps-augmented components ---------------------------------------
 
 

@@ -225,10 +225,9 @@ def _cmd_product(args) -> int:
     if not table:
         print("no homology classes to multiply")
         return 0
-    support = prod.h02.cx.field.support
     lines = []
     for (deg_x, i, deg_y, j), (degree, coeffs) in sorted(table.items()):
-        value = " + ".join(f"{c} * H{degree}[{k}]" for k, c in support(coeffs)) or "0"
+        value = " + ".join(f"{c} * H{degree}[{k}]" for k, c in sorted(coeffs.items())) or "0"
         lines.append(f"H{deg_x}[{i}] * H{deg_y}[{j}] -> degree {degree}: {value}\n")
     sys.stdout.write("".join(lines))
     return 0

@@ -37,9 +37,16 @@ Its representatives and products are moved into its blocks.  The results
 equal those of eliminating the whole complex, as each block keeps its
 core's order: per generator the full basis runs over u = e_i E_ab, then
 v = e_j E_cd (case I: e_i E_bc), so within a block over E_bc in the core's
-order.  Representatives are printed from their core vectors' nonzero
-entries, in core order, which is full-basis order within a block;
-full-basis vectors and matrices are built only on request.
+order.
+
+Every chain is a term map {index: c} with no zero entry, as every other
+element of the library: the columns of d, echelon rows, kernel vectors,
+representatives, class coordinates and product table entries.  A kernel
+vector's keys increase, so a representative is printed from its term map
+in core order, which is full-basis order within a block.  Dense lists over
+a whole basis are made only where they are asked for: ``matrix``,
+``representatives``, ``class_of``, ``apply_d``, ``product_chain`` and
+``product_class``.
 """
 
 from __future__ import annotations
@@ -51,12 +58,8 @@ from collections import defaultdict
 # re-exported: the benchmark self-test reads ncdga.homology.mu_eps_case2, so
 # these stay until a change to the benchmark moves that test
 from .ainfinity import mu_eps_case1, mu_eps_case2  # noqa: F401
-from .augmentation import (
-    Augmentation,
-    _prepare,
-    augmented_components,
-    require_shared_augmentations,
-)
+from .algebra import CoefficientMorphism
+from .augmentation import Augmentation, augmented_components, require_shared_augmentations
 from .dga import SemifreeDGA
 from .errors import (
     InfiniteDimensionalCoefficientsError,
@@ -75,49 +78,46 @@ from .rings import Ring
 class Span:
     """Row span in reduced echelon form; supports membership reduction.
 
-    Each echelon row keeps the indices of its nonzero entries, so reducing
-    and inserting touch only those columns; complexes of decorated
-    generators give sparse rows.  Scalars are tested by their truth value,
-    as in :meth:`Ring.support`: they are false exactly when zero."""
+    Rows and vectors are term maps {column: c} with no zero entry, so
+    reducing and inserting touch only the columns where they are nonzero.
+    A row's pivot, its least column, holds 1 and is absent from every
+    other row."""
 
     def __init__(self, ring: Ring, width: int):
         self.ring = ring
         self.width = width
-        self.rows: list[list] = []
+        self.rows: list[dict] = []
         self.pivots: list[int] = []
-        self.supports: list[list[int]] = []
 
-    def reduce(self, vector: list) -> list:
+    def reduce(self, vector: dict) -> dict:
         ring = self.ring
-        vec = list(vector)
-        for row, pivot, support in zip(self.rows, self.pivots, self.supports):
-            c = vec[pivot]
+        vec = dict(vector)
+        for row, pivot in zip(self.rows, self.pivots):
+            c = vec.get(pivot)
             if c:
-                for j in support:
-                    vec[j] = ring.sub(vec[j], ring.mul(c, row[j]))
+                c = ring.neg(c)
+                for j, e in row.items():
+                    ring.add_term(vec, j, ring.mul(c, e))
         return vec
 
-    def add(self, vector: list) -> bool:
+    def add(self, vector: dict) -> bool:
         """Insert a vector; returns True when it enlarges the span."""
         ring = self.ring
         vec = self.reduce(vector)
-        support = [j for j, c in enumerate(vec) if c]
-        if not support:
+        if not vec:
             return False
-        pivot = support[0]
-        inv = ring.inv(vec[pivot])
-        for j in support:
-            vec[j] = ring.mul(inv, vec[j])
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
+        pivot = min(vec)
+        if vec[pivot] != ring.one:  # over Z2 every pivot is 1 already
+            inv = ring.inv(vec[pivot])
+            vec = {j: ring.mul(inv, c) for j, c in vec.items()}
+        for row in self.rows:
+            c = row.get(pivot)
             if c:
-                for j in support:
-                    row[j] = ring.sub(row[j], ring.mul(c, vec[j]))
-                merged = set(self.supports[i]).union(support)
-                self.supports[i] = [j for j in merged if row[j]]
+                c = ring.neg(c)
+                for j, e in vec.items():
+                    ring.add_term(row, j, ring.mul(c, e))
         self.rows.append(vec)
         self.pivots.append(pivot)
-        self.supports.append(support)
         return True
 
     @property
@@ -126,41 +126,40 @@ class Span:
 
     def copy(self) -> "Span":
         clone = Span(self.ring, self.width)
-        clone.rows = [row[:] for row in self.rows]
+        clone.rows = [dict(row) for row in self.rows]
         clone.pivots = list(self.pivots)
-        clone.supports = [support[:] for support in self.supports]
         return clone
 
     @classmethod
     def whole(cls, ring: Ring, width: int) -> "Span":
         """The whole space: the unit rows, already in reduced echelon form."""
         span = cls(ring, width)
-        for j in range(width):
-            row = [ring.zero] * width
-            row[j] = ring.one
-            span.rows.append(row)
-            span.pivots.append(j)
-            span.supports.append([j])
+        span.rows = [{j: ring.one} for j in range(width)]
+        span.pivots = list(range(width))
         return span
 
 
-def kernel_basis(matrix: list[list], ncols: int, ring: Ring) -> list[list]:
-    """Basis of the null space of a (rows x ncols) matrix, one vector per
-    non-pivot column of its reduced echelon form."""
-    span = Span(ring, ncols)
-    for row in matrix:
+def kernel_basis(columns: list[dict], ring: Ring) -> list[dict]:
+    """Basis of the null space of the map with these columns (term maps
+    {row: c}), one vector per non-pivot column of its reduced echelon form,
+    in column order.  A vector's keys increase: the pivot columns whose
+    rows meet its free column, then the free column."""
+    rows: dict[int, dict] = defaultdict(dict)
+    for col, column in enumerate(columns):
+        for i, c in column.items():
+            rows[i][col] = c
+    span = Span(ring, len(columns))
+    for row in rows.values():
         span.add(row)
     pivots = set(span.pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [ring.zero] * ncols
+    basis = {free: {} for free in range(len(columns)) if free not in pivots}
+    for pivot, row in sorted(zip(span.pivots, span.rows)):
+        for j, c in row.items():
+            if j != pivot:  # a free column: no row holds another's pivot
+                basis[j][pivot] = ring.neg(c)
+    for free, vec in basis.items():
         vec[free] = ring.one
-        for row, col in zip(span.rows, span.pivots):
-            vec[col] = ring.neg(row[free])
-        basis.append(vec)
-    return basis
+    return list(basis.values())
 
 
 # -- bilinearised complexes ------------------------------------------------
@@ -169,7 +168,9 @@ def kernel_basis(matrix: list[list], ncols: int, ring: Ring) -> list[list]:
 class ChainComplex:
     """Graded basis with a degree +1 differential, d squared verified, over
     ``algebra``; the source DGA ``dga`` gives the generators and grading.
-    Each core of a :class:`BlockComplex` is one."""
+    ``diff[degree]`` is d out of the degree, one column map {row: c} over
+    the next degree's basis per label.  Each core of a
+    :class:`BlockComplex` is one."""
 
     def __init__(self, dga: SemifreeDGA, algebra, case: str, basis: dict, diff: dict):
         self.dga = dga
@@ -177,7 +178,7 @@ class ChainComplex:
         self.case = case
         self.field: Ring = algebra.ring
         self.basis = basis  # degree -> labels: (word, gen) in case I, (left, gen, right) in II
-        self.diff = diff    # degree -> matrix (rows: degree+1 basis, cols: degree basis)
+        self.diff = diff    # degree -> one column map per label
         self._check_squares()
 
     def degrees(self) -> list[int]:
@@ -198,26 +199,23 @@ class ChainComplex:
         return "*".join(parts)
 
     def matrix(self, degree: int) -> list[list]:
-        return self.diff.get(degree, [])
-
-    def support(self, degree: int, vector: list) -> list:
-        """(label, c) for each nonzero entry of a vector of a degree."""
-        labels = self.basis[degree]
-        return [(labels[i], c) for i, c in self.field.support(vector)]
+        """d out of a degree as dense rows, one per label of the next degree."""
+        columns = self.diff.get(degree, [])
+        rows = [[self.field.zero] * len(columns) for _ in self.basis.get(self._next(degree), ())]
+        for col, column in enumerate(columns):
+            for i, c in column.items():
+                rows[i][col] = c
+        return rows
 
     def _check_squares(self):
-        """d^2 = 0, each column of d read against the next d's columns at its
-        nonzero entries only."""
+        """d^2 = 0, each column of d sent through the next d's columns."""
         ring = self.field
         for degree in self.degrees():
-            m1, m2 = self.matrix(degree), self.matrix(self._next(degree))
-            if not m1 or not m2:
-                continue
-            after = [ring.support(column) for column in zip(*m2)]
-            for col, column in enumerate(zip(*m1)):
+            after = self.diff.get(self._next(degree))
+            for col, column in enumerate(self.diff.get(degree, ()) if after else ()):
                 image: dict = {}
-                for j, c in ring.support(column):
-                    for i, e in after[j]:
+                for j, c in column.items():
+                    for i, e in after[j].items():
                         ring.add_term(image, i, ring.mul(c, e))
                 if image:
                     raise NotAComplexError(f"d^2 != 0 out of degree {degree}, column {col}")
@@ -225,8 +223,8 @@ class ChainComplex:
     def apply_d(self, degree: int, vector: list) -> list:
         ring = self.field
         out = [ring.zero] * len(self.basis.get(self._next(degree), []))
-        for i, row in enumerate(self.matrix(degree)):
-            for c, v in zip(row, vector):
+        for column, v in zip(self.diff.get(degree, ()), vector):
+            for i, c in column.items() if v else ():
                 out[i] = ring.add(out[i], ring.mul(c, v))
         return out
 
@@ -235,9 +233,11 @@ class BlockComplex(ChainComplex):
     """A bilinearised complex: blocks (i, j, a, d), copies of the cores
     ``cores[i, j]`` (see the module docstring), whose labels sit at
     ``_positions[degree][block]`` of the full basis over the target
-    ``algebra``.  The cores are checked; ``diff`` is assembled on first use."""
+    ``algebra``.  The cores share their labels, found at
+    ``core_index[degree][label]``.  The cores are checked; ``diff`` is
+    assembled on first use."""
 
-    def __init__(self, dga, augs, case, basis, cores, blocks, positions):
+    def __init__(self, dga, augs, case, basis, cores, blocks, positions, core_index):
         self.dga = dga
         self.augs = augs
         self.case = case
@@ -247,36 +247,35 @@ class BlockComplex(ChainComplex):
         self.cores = cores
         self.blocks = blocks
         self._positions = positions
+        self.core_index = core_index
 
     @functools.cached_property
     def diff(self) -> dict:
-        """The full matrices, each core's entries copied into its blocks."""
-        zero = self.field.zero
+        """The full columns, each core's moved into its blocks."""
         diff = {}
         for degree, labels in self.basis.items():
-            after = self._next(degree)
-            rows = self.basis.get(after, ())
-            full = diff[degree] = [[zero] * len(labels) for _ in rows]
-            for block in self.blocks if rows else ():
-                cols, core = self._positions[degree][block], self.cores[block[:2]]
-                for r, row in zip(self._positions[after][block], core.matrix(degree)):
-                    target = full[r]
-                    for c, value in zip(cols, row):
-                        target[c] = value
+            rows = self._positions.get(self._next(degree), {})
+            full = diff[degree] = [None] * len(labels)
+            for block, cols in self._positions[degree].items():
+                at = rows.get(block)
+                for col, column in zip(cols, self.cores[block[:2]].diff[degree]):
+                    full[col] = {at[r]: c for r, c in column.items()}
         return diff
 
-    def _move(self, degree: int, vector: list, block) -> list:
-        """A core vector moved into a block: E_bc -> e_i E_ab ... e_j E_cd."""
+    def _move(self, degree: int, vector: dict, block) -> list:
+        """A core chain moved into a block, E_bc -> e_i E_ab ... e_j E_cd, as
+        a dense vector of the full basis."""
         out = [self.field.zero] * len(self.basis[degree])
-        for i, c in zip(self._positions[degree][block], vector):
-            out[i] = c
+        at = self._positions[degree][block]
+        for j, c in vector.items():
+            out[at[j]] = c
         return out
 
     def _split(self, degree: int, vector: list):
-        """(block, core vector) for each block where the vector is nonzero."""
+        """(block, core chain) for each block where a dense vector is nonzero."""
         for block, positions in self._positions[degree].items():
-            piece = [vector[i] for i in positions]
-            if any(piece):  # scalars are false exactly when zero
+            piece = {k: vector[i] for k, i in enumerate(positions) if vector[i]}
+            if piece:
                 yield block, piece
 
 
@@ -373,22 +372,21 @@ def _complex(dga: SemifreeDGA, a0: Augmentation, a1: Augmentation, case: str) ->
     }
 
     terms, ring, mul = _term_index(dga, (a0, a1)), alg.ring, base.mul_words
+    index = {d: {label: i for i, label in enumerate(labels)} for d, labels in core_basis.items()}
     cores = {}
     for key in dict.fromkeys(block[:2] for block in where):
-        diff: dict[int, list[list]] = {}
+        found, diff = terms.get(key, {}), {}
         for degree, labels in core_basis.items():
-            target_labels = core_basis.get(dga.reduce_degree(degree + 1), [])
-            index = {label: i for i, label in enumerate(target_labels)}
-            rows = [[ring.zero] * len(labels) for _ in target_labels]
-            for col, label in enumerate(labels):
-                found = terms.get(key, {}).get((label[1],))
-                if found:
-                    for out, c in _apply_terms(mul, found, (label,)):
-                        row = rows[index[out]]
-                        row[col] = ring.add(row[col], c)
-            diff[degree] = rows
+            row_of = index.get(dga.reduce_degree(degree + 1), {})
+            columns = diff[degree] = []
+            for label in labels:
+                column: dict = {}
+                label_terms = found.get((label[1],))
+                for out, c in _apply_terms(mul, label_terms, (label,)) if label_terms else ():
+                    ring.add_term(column, row_of[out], c)
+                columns.append(column)
         cores[key] = ChainComplex(dga, base, "I", core_basis, diff)
-    return BlockComplex(dga, (a0, a1), case, basis, cores, list(where), positions)
+    return BlockComplex(dga, (a0, a1), case, basis, cores, list(where), positions, index)
 
 
 class HomologyResult:
@@ -420,12 +418,12 @@ class HomologyResult:
         # core widths, not the full width of cx.basis: reduce full vectors
         # through class_of, never against these spans directly
         self.image_spans: dict[tuple, Span] = {}
-        self.core_representatives: dict[tuple, list[list]] = {}
+        self.core_representatives: dict[tuple, list[dict]] = {}
         free: dict[tuple, list[int]] = {}
         for key, core in cx.cores.items():
             degrees = core.degrees()
-            # with no rows the kernel is everything: the unit vectors
-            kernels = {d: kernel_basis(core.matrix(d), len(core.basis[d]), ring) for d in degrees}
+            # with no next degree the columns are empty: the kernel is everything
+            kernels = {d: kernel_basis(core.diff[d], ring) for d in degrees}
             # degree -> the one degree whose d lands in it (d + 1 is injective)
             prev_of = {core._next(d): d for d in degrees}
             for degree in degrees:
@@ -436,7 +434,7 @@ class HomologyResult:
                     span = Span.whole(ring, width)
                 else:
                     span = Span(ring, width)
-                    for column in zip(*core.matrix(prev)) if rank else ():
+                    for column in core.diff[prev] if rank else ():
                         span.add(column)
                 self.image_spans[key, degree] = span
                 if not rank:
@@ -447,8 +445,8 @@ class HomologyResult:
                     span = span.copy()
                     reps = [z for z in cycles if span.add(z)]
                 self.core_representatives[key, degree] = reps
-                # a kernel basis vector's free column is its last nonzero entry
-                free[key, degree] = [max(j for j, c in enumerate(z) if c) for z in reps]
+                # a kernel basis vector's free column is its greatest key
+                free[key, degree] = [max(z) for z in reps]
         self.dims: dict[int, int] = {}
         self._origin: dict[int, list] = {}  # degree -> (block, core index) per representative
         self._slot: dict[int, dict] = {}    # its inverse
@@ -481,22 +479,17 @@ class HomologyResult:
         }
 
     def representative_strings(self, degree: int) -> list[str]:
-        """The representatives as printed, read off the cores: entry j of a
+        """The representatives as printed, read off the cores: term j of a
         core representative moved into a block is the label at the block's
         position of j.  A block's positions increase with the core index
-        (see the module docstring), so the terms, read in core order from
-        each core vector's support, found once per core, are in full-basis
-        order.  Each word's and each label's text is made once per call, by
+        (see the module docstring), so the terms, read in the increasing
+        key order of the core term map, are in full-basis order.  Each
+        word's and each label's text is made once per call, by
         :meth:`ChainComplex.label_str`."""
         cx = self.cx
         labels = cx.basis[degree]
         positions = cx._positions[degree]
-        ring = cx.field
-        one, scalar_str = ring.one, ring.scalar_str
-        supports = {
-            key: [ring.support(z) for z in self.core_representatives[key, degree]]
-            for key in cx.cores
-        }
+        one, scalar_str = cx.field.one, cx.field.scalar_str
         # each word's text once per call; each label's once per call
         word_str = functools.lru_cache(maxsize=None)(cx.algebra.word_str)
         texts: dict[int, str] = {}
@@ -504,7 +497,7 @@ class HomologyResult:
         for block, k in self._origin[degree]:
             at = positions[block]
             parts = []
-            for j, c in supports[block[:2]][k]:
+            for j, c in self.core_representatives[block[:2], degree][k].items():
                 text = texts.get(i := at[j])
                 if text is None:
                     text = texts[i] = cx.label_str(labels[i], word_str)
@@ -518,36 +511,41 @@ class HomologyResult:
         out = [self.cx.field.zero] * self.dims[degree]
         slot = self._slot[degree]
         for block, piece in self.cx._split(degree, vector):
-            for k, c in enumerate(self.core_class_of(block[:2], degree, piece)):
+            for k, c in self.core_class_of(block[:2], degree, piece).items():
                 out[slot[block, k]] = c
         return out
 
-    def core_class_of(self, key: tuple, degree: int, vector: list) -> list:
-        """Coordinates of a cycle's class in the representatives of core
-        ``key``.  The degree's rows [rep_k | e_k] and [boundary | 0] are put in
-        echelon form once; [v | 0] then reduces to [0 | -coordinates of v],
-        and to a nonzero left part when v is not a cycle."""
+    def core_class_of(self, key: tuple, degree: int, vector: dict) -> dict:
+        """Coordinates {k: c} of the class of a cycle of core ``key``, a
+        term map, in that core's representatives.  The degree's rows
+        [rep_k | e_k] and [boundary | 0] are put in echelon form once;
+        [v | 0] then reduces to [0 | -coordinates of v], and to a nonzero
+        left part when v is not a cycle."""
         ring = self.cx.field
+        width = len(self.cx.cores[key].basis[degree])
         span = self._class_spans.get((key, degree))
         if span is None:  # [boundary | 0] and [rep_k | e_k], once
             reps, image = self.core_representatives[key, degree], self.image_spans[key, degree]
-            pad = [ring.zero] * len(reps)
-            span = self._class_spans[key, degree] = Span(ring, image.width + len(reps))
-            for row in image.rows:
-                span.add(row + pad)
+            span = self._class_spans[key, degree] = image.copy()
+            span.width += len(reps)
             for k, rep in enumerate(reps):
-                span.add(rep + pad[:k] + [ring.one] + pad[k + 1:])
-        width = len(self.cx.cores[key].basis[degree])
-        if len(vector) != width:
-            raise NcdgaError("vector and core basis widths differ in this degree")
-        reduced = span.reduce(list(vector) + [ring.zero] * (span.width - width))
-        if any(not ring.is_zero(c) for c in reduced[:width]):
+                span.add({**rep, width + k: ring.one})
+        if any(j >= width for j in vector):
+            raise NcdgaError("vector has entries outside the core basis in this degree")
+        reduced = span.reduce(vector)
+        if any(j < width for j in reduced):
             raise NcdgaError("vector is not a cycle class in this degree")
-        return [ring.neg(c) for c in reduced[width:]]
+        return {j - width: ring.neg(c) for j, c in reduced.items()}
 
 
 def homology(cx: BlockComplex) -> HomologyResult:
     return HomologyResult(cx)
+
+
+def _labelled(cx: BlockComplex, block: tuple, degree: int, vector: dict) -> list:
+    """(label, c) for each term of a chain of the core of a block (i, j, ...)."""
+    labels = cx.cores[block[:2]].basis[degree]
+    return [(labels[k], c) for k, c in vector.items()]
 
 
 def _compose(bx: tuple, by: tuple):
@@ -575,28 +573,28 @@ class HomologyProduct:
         self.terms = _term_index(dga, self.augs)
 
     def product_chain(self, deg_x: int, x_vec: list, deg_y: int, y_vec: list):
-        """The chain-level product of two chains, as a cx02 vector: the core
+        """The chain-level product of two dense chains, as a cx02 vector: the core
         product of each pair of their blocks that compose, moved into the
         composed block."""
         cx01, cx12, cx02 = self.cx01, self.cx12, self.cx02
         degree = self.output_degree(deg_x, deg_y)
         ring = cx02.field
         out = [ring.zero] * len(cx02.basis.get(degree, ()))
-        ys = [(by, cx12.cores[by[:2]].support(deg_y, y)) for by, y in cx12._split(deg_y, y_vec)]
+        ys = [(by, _labelled(cx12, by, deg_y, y)) for by, y in cx12._split(deg_y, y_vec)]
         for bx, x in cx01._split(deg_x, x_vec):
-            xs = cx01.cores[bx[:2]].support(deg_x, x)
+            xs = _labelled(cx01, bx, deg_x, x)
             for by, y_terms in ys:
                 block = _compose(bx, by)
-                if block:
-                    vec = self._chain((*bx[:2], by[1]), degree, xs, y_terms)
-                    for i, c in zip(cx02._positions[degree][block], vec) if vec else ():
-                        out[i] = ring.add(out[i], c)
+                vec = self._chain((*bx[:2], by[1]), degree, xs, y_terms) if block else {}
+                for k, c in vec.items():
+                    i = cx02._positions[degree][block][k]
+                    out[i] = ring.add(out[i], c)
         return degree, out
 
-    def _chain(self, summands: tuple, degree: int, xs: list, ys: list) -> list:
+    def _chain(self, summands: tuple, degree: int, xs: list, ys: list) -> dict:
         """The product of core chains of summands (i, j) and (j, l), given as
-        (label, c) terms, as a vector of core (i, l) of cx02 ([] for zero):
-        the label pairs of their supports add up."""
+        (label, c) terms, as a term map over core (i, l) of cx02: the label
+        pairs of their terms add up."""
         i, _j, l = summands
         core = self.cx02.cores[i, l]
         mul, ring, terms = core.algebra.mul_words, core.field, self.terms.get(summands, {})
@@ -608,12 +606,11 @@ class HomologyProduct:
                     cxy = ring.mul(cx, cy)
                     for label, c in _apply_terms(mul, found, (x, y)):
                         ring.add_term(value, label, ring.mul(cxy, c))
-        if not value:
-            return []
-        vec = [value.pop(label, ring.zero) for label in core.basis.get(degree, ())]
-        if value:
-            raise NcdgaError("product landed outside the complex")
-        return vec
+        at = self.cx02.core_index.get(degree, {})
+        try:
+            return {at[label]: c for label, c in value.items()}
+        except KeyError:
+            raise NcdgaError("product landed outside the complex") from None
 
     def output_degree(self, deg_x: int, deg_y: int) -> int:
         return self.dga.reduce_degree(deg_x + deg_y)
@@ -623,15 +620,17 @@ class HomologyProduct:
         return degree, (self.h02.class_of(degree, vec) if degree in self.cx02.basis else [])
 
     def table(self):
-        """Products of all representative pairs, in homology coordinates.
-        Only core pairs are multiplied: the representatives of cores (i, j)
-        of cx01 and (j, l) of cx12, into core (i, l) of cx02.  A class of
-        block (i, j, a, d) times one of (j, l, d, d') is their core product
-        moved to block (i, l, a, d'); other pairs of blocks give zero."""
+        """Products of all representative pairs, in homology coordinates:
+        (degree, {k: c}) with no zero c.  Only core pairs are multiplied: the
+        representatives of cores (i, j) of cx01 and (j, l) of cx12, into
+        core (i, l) of cx02.  A class of block (i, j, a, d) times one of
+        (j, l, d, d') is their core product moved to block (i, l, a, d');
+        every other pair of blocks gives zero, and all such entries share
+        one empty map."""
         h01, h12, h02 = self.h01, self.h12, self.h02
         xs, ys = (
             {
-                (key, d): [h.cx.cores[key].support(d, z) for z in zs]
+                (key, d): [_labelled(h.cx, key, d, z) for z in zs]
                 for (key, d), zs in h.core_representatives.items()
             }
             for h in (h01, h12)
@@ -642,24 +641,24 @@ class HomologyProduct:
                 degree = self.output_degree(deg_x, deg_y)
                 for k, x in enumerate(x_terms if j2 == j else ()):
                     for m, y in enumerate(y_terms):
-                        # a zero product keeps the zero coordinates below
                         vec = self._chain((i, j, l), degree, x, y)
                         coords = vec and h02.core_class_of((i, l), degree, vec)
                         products[(i, j, l), deg_x, k, deg_y, m] = coords
-        zero = self.cx02.field.zero
+        empty: dict = {}
         out = {}
         for deg_x, origins_x in h01._origin.items():
             for i, (bx, k) in enumerate(origins_x):
                 for deg_y, origins_y in h12._origin.items():
                     degree = self.output_degree(deg_x, deg_y)
-                    size = h02.dims.get(degree, 0)
+                    slot, zero = h02._slot.get(degree), (degree, empty)
                     for j, (by, m) in enumerate(origins_y):
-                        full = [zero] * size
                         block = _compose(bx, by)
-                        coords = block and products[(*bx[:2], by[1]), deg_x, k, deg_y, m]
-                        for n, c in enumerate(coords or ()):
-                            full[h02._slot[degree][block, n]] = c
-                        out[deg_x, i, deg_y, j] = degree, full
+                        if block is None:
+                            out[deg_x, i, deg_y, j] = zero
+                            continue
+                        coords = products[(*bx[:2], by[1]), deg_x, k, deg_y, m]
+                        coeffs = {slot[block, n]: c for n, c in coords.items()}
+                        out[deg_x, i, deg_y, j] = degree, coeffs
         return out
 
 
@@ -667,34 +666,42 @@ def product_on_homology(dga: SemifreeDGA, e0, e1, e2, case: str = "I") -> Homolo
     return HomologyProduct(dga, e0, e1, e2, case)
 
 
+def _mirrored(dga: SemifreeDGA, augs) -> tuple:
+    """The mirror DGA and the augmentations carried over to it: each value
+    transposed, and the coefficient map sending a word w to the transpose
+    of the image of reverse(w), so that the image of a mirrored source word
+    is the mirror of the image.  A map without images (the identity, a
+    split inclusion, or out of the scalars) is its own transport."""
+    mirrored, morphism = dga.mirror(), augs[0].morphism
+    if morphism.images:
+        src = morphism.source
+        flip = src.reverse_word if src.kind == "matrix" else (lambda letter: letter)
+        images = {key: morphism.images[flip(key)].reverse() for key in morphism.images}
+        morphism = CoefficientMorphism(src, morphism.target, images)
+    values = ({name: value.reverse() for name, value in aug.values.items()} for aug in augs)
+    return mirrored, [Augmentation(mirrored, v, morphism) for v in values]
+
+
 def mirror_compare(
     dga: SemifreeDGA, e0: Augmentation, e1: Augmentation, case: str = "II"
 ) -> Report:
     """Graded dimensions of the (e0, e1) complex match those of the mirror
-    DGA with the transposed augmentations in swapped order.  The DGA is
-    mirrored after its coefficients are changed to the target, so this
-    comparison alone builds the changed copy (:func:`_prepare`)."""
-    base, (a0, a1) = _prepare(dga, [e0, e1])
-    alg = base.algebra
+    DGA with the transposed augmentations in swapped order, both read off
+    source words (:func:`_mirrored`)."""
+    require_shared_augmentations(dga, [e0, e1])
+    alg = e0.target
     if alg.kind != "matrix" and alg.dimension() != 1:
         raise NotMatrixTargetError(f"mirror comparison needs a matrix target, got {alg}")
     report = Report("mirror comparison")
-    mirrored = base.mirror()
-
-    def transported(aug: Augmentation) -> Augmentation:
-        values = {name: value.reverse() for name, value in aug.values.items()}
-        return Augmentation(mirrored, values)
-
-    m1, m0 = transported(a1), transported(a0)
+    mirrored, (m0, m1) = _mirrored(dga, [e0, e1])
     for aug in (m0, m1):
         check = aug.check()
         report.record(check.ok, f"transported augmentation invalid: {check}")
     if not report.ok:
         return report
-    h = homology(_complex(base, a0, a1, case))
+    h = homology(_complex(dga, e0, e1, case))
     hm = homology(_complex(mirrored, m1, m0, case))
-    degrees = sorted(set(h.dims) | set(hm.dims))
-    for degree in degrees:
+    for degree in sorted(set(h.dims) | set(hm.dims)):
         d1, d2 = h.dims.get(degree, 0), hm.dims.get(degree, 0)
         report.record(d1 == d2, f"degree {degree}: {d1} vs {d2} on the mirror")
     return report

@@ -162,13 +162,6 @@ class Ring:
     def is_zero(self, value) -> bool:
         return value == 0
 
-    def support(self, values) -> list[tuple[int, object]]:
-        """(index, value) for each nonzero entry of a vector.  Scalars are
-        ints or Fractions, which are false exactly when zero, so the test is
-        their truth value: no call per entry, where :meth:`is_zero` costs a
-        method call and a Fraction comparison."""
-        return [(i, c) for i, c in enumerate(values) if c]
-
     # Over Q, add, sub, mul and inv return canonical scalars (see _ratio);
     # over Z every scalar is an int, which the same functions pass through.
 

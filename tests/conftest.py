@@ -16,7 +16,7 @@ from ncdga import (
     toy_dga,
     toy_hermitian_dga,
 )
-from ncdga.homology import Span
+from ncdga.augmentation import require_shared_augmentations
 
 # every run draws the same examples, so Tier-1's time and memory do not
 # depend on the run; each test keeps its own max_examples and deadline
@@ -83,12 +83,112 @@ d x1 = y0
 """
 
 
+# -- dense references ---------------------------------------------------
+#
+# The library keeps every chain of a complex as a term map {index: c}; the
+# oracles below eliminate dense zero-filled lists over the full width, and
+# these move vectors and product tables between the two.
+
+
+class DenseSpan:
+    """Reference: reduced echelon rows, every update over the full width."""
+
+    def __init__(self, ring, width):
+        self.ring, self.width = ring, width
+        self.rows, self.pivots = [], []
+
+    def reduce(self, vector):
+        ring, vec = self.ring, list(vector)
+        for row, pivot in zip(self.rows, self.pivots):
+            c = vec[pivot]
+            if not ring.is_zero(c):
+                vec = [ring.sub(a, ring.mul(c, b)) for a, b in zip(vec, row)]
+        return vec
+
+    def add(self, vector):
+        ring = self.ring
+        vec = self.reduce(vector)
+        pivot = next((j for j, c in enumerate(vec) if not ring.is_zero(c)), None)
+        if pivot is None:
+            return False
+        inv = ring.inv(vec[pivot])
+        vec = [ring.mul(inv, c) for c in vec]
+        for i, row in enumerate(self.rows):
+            c = row[pivot]
+            if not ring.is_zero(c):
+                self.rows[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(row, vec)]
+        self.rows.append(vec)
+        self.pivots.append(pivot)
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def copy(self):
+        clone = DenseSpan(self.ring, self.width)
+        clone.rows, clone.pivots = [row[:] for row in self.rows], list(self.pivots)
+        return clone
+
+
+def dense_kernel_basis(matrix, ncols, ring):
+    """Reference: Gauss-Jordan with row swaps, one vector per free column."""
+    rows = [row[:] for row in matrix]
+    pivot_of_col, r = {}, 0
+    for col in range(ncols):
+        pivot_row = next(
+            (i for i in range(r, len(rows)) if not ring.is_zero(rows[i][col])), None
+        )
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ring.inv(rows[r][col])
+        rows[r] = [ring.mul(inv, c) for c in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not ring.is_zero(rows[i][col]):
+                factor = rows[i][col]
+                rows[i] = [ring.sub(a, ring.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        pivot_of_col[col] = r
+        r += 1
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_of_col):
+        vec = [ring.zero] * ncols
+        vec[free] = ring.one
+        for col, row in pivot_of_col.items():
+            vec[col] = ring.neg(rows[row][free])
+        basis.append(vec)
+    return basis
+
+
+def dense(terms: dict, width: int, ring) -> list:
+    """A term map {index: c} as a dense vector of the given width."""
+    vec = [ring.zero] * width
+    for i, c in terms.items():
+        vec[i] = c
+    return vec
+
+
+def terms_of(vector) -> dict:
+    """A dense vector as a term map, its zero entries left out."""
+    return {i: c for i, c in enumerate(vector) if c}
+
+
+def dense_table(prod) -> dict:
+    """``prod.table()`` with each entry's coordinates written out dense,
+    over the homology of its degree."""
+    dims, ring = prod.h02.dims, prod.cx02.field
+    return {
+        key: (degree, dense(coeffs, dims.get(degree, 0), ring))
+        for key, (degree, coeffs) in prod.table().items()
+    }
+
+
 def solve_in_span(columns, target, ring):
     """Coefficients expressing target in the given columns, or None.  Free
     coefficients are zero; the rest come from the reduced echelon form of
     the augmented matrix [columns | target]."""
     ncols = len(columns)
-    span = Span(ring, ncols + 1)
+    span = DenseSpan(ring, ncols + 1)
     for i, t in enumerate(target):
         span.add([col[i] for col in columns] + [t])
     if ncols in span.pivots:
@@ -97,6 +197,18 @@ def solve_in_span(columns, target, ring):
     for row, col in zip(span.rows, span.pivots):
         solution[col] = row[-1]
     return solution
+
+
+def _prepare(dga, augs):
+    """Oracle for reading the source words: check the entries, then move
+    everything over the (common) augmentation target, the DGA with its
+    coefficients changed and the augmentations rebuilt over it."""
+    require_shared_augmentations(dga, augs)
+    first = augs[0]
+    if first.morphism.is_identity:
+        return dga, list(augs)
+    base = dga.change_coefficients(first.morphism)
+    return base, [Augmentation(base, dict(aug.values)) for aug in augs]
 
 
 # -- chains of a complex as library elements ---------------------------

@@ -21,9 +21,8 @@ from ncdga import (
     parse_dga,
 )
 from ncdga.ainfinity import _candidate_buckets
-from ncdga.homology import _prepare
 
-from conftest import TREFOIL_SOURCE, element_of, vector_of
+from conftest import TREFOIL_SOURCE, _prepare, element_of, vector_of
 from test_case2_components import _compositions, _xy_augmentations
 from test_relation import generated_dgas, variants
 

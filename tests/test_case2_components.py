@@ -1,7 +1,7 @@
 """The eps-augmented case II components, built once per complex, against
 the construction they replace (one adjoint per block pattern), against the
-brute-force transpose, and the sparse echelon span against a dense
-reference elimination."""
+brute-force transpose, and the term-map echelon span against the dense
+reference elimination of ``conftest``."""
 
 from fractions import Fraction
 
@@ -27,9 +27,19 @@ from ncdga import (
 )
 from ncdga.ainfinity import augmented_components
 from ncdga.errors import TupleLengthMismatchError
-from ncdga.homology import Span, _prepare, kernel_basis
+from ncdga.homology import Span, kernel_basis
 
-from conftest import XY_SOURCE, element_of, solve_in_span, vector_of
+from conftest import (
+    XY_SOURCE,
+    DenseSpan,
+    _prepare,
+    dense,
+    dense_kernel_basis,
+    element_of,
+    solve_in_span,
+    terms_of,
+    vector_of,
+)
 
 
 def _compositions(total, parts):
@@ -187,68 +197,7 @@ def test_augmented_components_checks_the_tuple(toy_h, toy_h_augmentations):
         augmented_components(toy_h, toy_h_augmentations[:2], 2)
 
 
-# -- sparse span against a dense reference --------------------------------
-
-
-class DenseSpan:
-    """Reference: reduced echelon rows, every update over the full width."""
-
-    def __init__(self, ring, width):
-        self.ring, self.width = ring, width
-        self.rows, self.pivots = [], []
-
-    def reduce(self, vector):
-        ring, vec = self.ring, list(vector)
-        for row, pivot in zip(self.rows, self.pivots):
-            c = vec[pivot]
-            if not ring.is_zero(c):
-                vec = [ring.sub(a, ring.mul(c, b)) for a, b in zip(vec, row)]
-        return vec
-
-    def add(self, vector):
-        ring = self.ring
-        vec = self.reduce(vector)
-        pivot = next((j for j, c in enumerate(vec) if not ring.is_zero(c)), None)
-        if pivot is None:
-            return False
-        inv = ring.inv(vec[pivot])
-        vec = [ring.mul(inv, c) for c in vec]
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
-            if not ring.is_zero(c):
-                self.rows[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(row, vec)]
-        self.rows.append(vec)
-        self.pivots.append(pivot)
-        return True
-
-
-def dense_kernel_basis(matrix, ncols, ring):
-    """Reference: Gauss-Jordan with row swaps, one vector per free column."""
-    rows = [row[:] for row in matrix]
-    pivot_of_col, r = {}, 0
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, len(rows)) if not ring.is_zero(rows[i][col])), None
-        )
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ring.inv(rows[r][col])
-        rows[r] = [ring.mul(inv, c) for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not ring.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [ring.sub(a, ring.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
-        pivot_of_col[col] = r
-        r += 1
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivot_of_col):
-        vec = [ring.zero] * ncols
-        vec[free] = ring.one
-        for col, row in pivot_of_col.items():
-            vec[col] = ring.neg(rows[row][free])
-        basis.append(vec)
-    return basis
+# -- term-map span against a dense reference ------------------------------
 
 
 def dense_solve_in_span(columns, target, ring):
@@ -321,24 +270,35 @@ def test_sparse_span_matches_dense_reference(ring):
     @given(_matrices(ring), st.data())
     def check(image, data):
         rows, width = image
-        sparse, dense = Span(ring, width), DenseSpan(ring, width)
+        sparse, reference = Span(ring, width), DenseSpan(ring, width)
         for row in rows:
-            assert sparse.add(row) == dense.add(row)
-        assert sparse.rank == len(dense.rows)
-        assert (sparse.rows, sparse.pivots) == (dense.rows, dense.pivots)
-        assert kernel_basis(rows, width, ring) == dense_kernel_basis(rows, width, ring)
+            assert sparse.add(terms_of(row)) == reference.add(row)
+        assert sparse.rank == len(reference.rows)
+
+        def written_out(span):
+            """The rows as dense vectors; a term map holds no zero."""
+            assert all(c for row in span.rows for c in row.values())
+            return [dense(row, width, ring) for row in span.rows], span.pivots
+
+        assert written_out(sparse) == (reference.rows, reference.pivots)
+        kernel = kernel_basis([terms_of([row[c] for row in rows]) for c in range(width)], ring)
+        assert [dense(z, width, ring) for z in kernel] == dense_kernel_basis(rows, width, ring)
+        # the keys increase: representatives are printed in this order
+        assert all(list(z) == sorted(z) for z in kernel)
         # representative choice: which candidates enlarge a copy of the span
         vectors = st.lists(_scalars(ring), min_size=width, max_size=width)
         candidates = data.draw(st.lists(vectors, max_size=6))
-        copy, dense_copy = sparse.copy(), DenseSpan(ring, width)
-        dense_copy.rows = [row[:] for row in dense.rows]
-        dense_copy.pivots = list(dense.pivots)
-        assert [copy.add(z) for z in candidates] == [dense_copy.add(z) for z in candidates]
-        assert (sparse.rows, sparse.pivots) == (dense.rows, dense.pivots)
+        copy, reference_copy = sparse.copy(), reference.copy()
+        assert [copy.add(terms_of(z)) for z in candidates] == [
+            reference_copy.add(z) for z in candidates
+        ]
+        assert written_out(sparse) == (reference.rows, reference.pivots)
         columns = [list(col) for col in zip(*rows)]
         heights = st.lists(_scalars(ring), min_size=len(rows), max_size=len(rows))
         for z in candidates:
-            assert sparse.reduce(z) == dense.reduce(z)
+            reduced = sparse.reduce(terms_of(z))
+            assert all(reduced.values())
+            assert dense(reduced, width, ring) == reference.reduce(z)
             # a target in the column span (rows . z) and an arbitrary one
             image = []
             for row in rows:

@@ -8,8 +8,8 @@ The oracle moves the DGA and its augmentations over the target first
 the moved words, and evaluates the operation on every basis label
 separately, one chain each, through ``ainfinity._evaluate``: ``psi_eval``
 in case I, ``adjoint_formula`` in case II.  ``HomologyResult.representative_strings`` reads each
-representative off the support of its core representative; the oracle
-reads it off the dense full-basis vector.
+representative off its core term map; the oracle reads it off the dense
+full-basis vector.
 
 ``HomologyProduct`` applies the arity-two terms to label pairs of the
 factors' supports; the oracle evaluates the operation on each pair of
@@ -39,9 +39,9 @@ from ncdga import (
     product_on_homology,
 )
 from ncdga.ainfinity import _evaluate
-from ncdga.augmentation import _prepare, augmented_components
+from ncdga.augmentation import augmented_components
 
-from conftest import _chain, _coordinates, element_of, vector_of
+from conftest import _chain, _coordinates, _prepare, dense_table, element_of, vector_of
 from test_corner import DGA_SOURCES, _augmentations, _dga, _strings
 from test_relation import GENERATED_SCALARS, generated_dgas
 from test_source_components import _morphism, _moved_augmentations
@@ -158,7 +158,7 @@ def assert_products_match_per_pair_evaluation(prod, rng):
     components = augmented_components(prod.dga, prod.augs, 2)
     ring = prod.algebra.ring
     h01, h12, h02 = prod.h01, prod.h12, prod.h02
-    table = prod.table()
+    table = dense_table(prod)
     assert len(table) == sum(h01.dims.values()) * sum(h12.dims.values())
     for key in rng.sample(sorted(table), min(len(table), 30)):
         deg_x, i, deg_y, j = key

@@ -34,9 +34,17 @@ from ncdga import (
 from ncdga.ainfinity import _evaluate_case2, augmented_components
 from ncdga.cli import main
 from ncdga.errors import NcdgaError
-from ncdga.homology import Span, _prepare, kernel_basis
-
-from conftest import element_of, solve_in_span, vector_of
+from conftest import (
+    DenseSpan,
+    _prepare,
+    dense,
+    dense_kernel_basis,
+    dense_table,
+    element_of,
+    solve_in_span,
+    terms_of,
+    vector_of,
+)
 
 Z3 = Zp(3)
 
@@ -110,19 +118,20 @@ def full_complex(dga, e0, e1):
     components = augmented_components(base, (a0, a1), 1)
     diff = {}
     for degree, labels in basis.items():
-        target = basis.get(degree + 1, [])
-        index = {label: i for i, label in enumerate(target)}
-        matrix = [[ring.zero] * len(labels) for _ in target]
-        for col, (u, gen, v) in enumerate(labels):
+        index = {label: i for i, label in enumerate(basis.get(degree + 1, []))}
+        columns = diff[degree] = []
+        for u, gen, v in labels:
             chain = TensorElement(alg, {TensorWord((u, v), (gen,)): ring.one})
-            for tw, c in _evaluate_case2(alg, components, chain).terms.items():
-                matrix[index[(tw.coeffs[0], tw.gens[0], tw.coeffs[1])]][col] = c
-        diff[degree] = matrix
+            value = _evaluate_case2(alg, components, chain)
+            columns.append(
+                {index[tw.coeffs[0], tw.gens[0], tw.coeffs[1]]: c for tw, c in value.terms.items()}
+            )
     return ChainComplex(base, alg, "II", basis, diff)
 
 
 class FullHomology:
-    """Elimination of the whole complex; classes solved afresh each time."""
+    """Dense elimination of the whole complex (``conftest``'s reference);
+    classes solved afresh each time."""
 
     def __init__(self, cx):
         self.cx = cx
@@ -130,7 +139,7 @@ class FullHomology:
         self.image_spans = {}
         self.representatives = {}
         for degree in cx.degrees():
-            span = Span(ring, len(cx.basis[degree]))
+            span = DenseSpan(ring, len(cx.basis[degree]))
             for prev in cx.degrees():
                 if cx._next(prev) == degree:
                     matrix = cx.matrix(prev)
@@ -138,7 +147,7 @@ class FullHomology:
                         span.add([row[col] for row in matrix])
             self.image_spans[degree] = span
         for degree in cx.degrees():
-            cycles = kernel_basis(cx.matrix(degree), len(cx.basis[degree]), ring)
+            cycles = dense_kernel_basis(cx.matrix(degree), len(cx.basis[degree]), ring)
             span = self.image_spans[degree].copy()
             self.representatives[degree] = [z for z in cycles if span.add(z)]
         self.dims = {d: len(reps) for d, reps in self.representatives.items()}
@@ -288,7 +297,7 @@ def test_corner_product_table_matches_full_construction(ring, which):
                         expected[deg_x, i, deg_y, j] = full_product_class(
                             prod, components, h01, h12, h02, deg_x, x_vec, deg_y, y_vec
                         )
-        table = prod.table()
+        table = dense_table(prod)
         assert list(table) == list(expected)
         assert table == expected
         nonzero += sum(any(c != 0 for c in coords) for _deg, coords in table.values())
@@ -305,7 +314,7 @@ def test_corner_product_table_samples_match_full_construction(ring, which):
     rng = random.Random(f"{ring.name}-{which}")
     for triple in _triples(e0, e1)[:2]:
         prod = product_on_homology(dga, *triple, "II")
-        table = prod.table()
+        table = dense_table(prod)
         components = full_components(prod)
         h01, h12, h02 = (
             FullHomology(full_complex(dga, a, b))
@@ -333,7 +342,7 @@ def test_case1_classes_match_fresh_solve(ring):
     e0, e1 = _augmentations(dga, ring, "commutator", 3)
     prod = product_on_homology(dga, e0, e1, e1, "I")
     assert list(prod.cx01.cores) == [(1, 1)] and len(prod.cx01.blocks) == 1
-    for key, (degree, coords) in prod.table().items():
+    for key, (degree, coords) in dense_table(prod).items():
         deg_x, i, deg_y, j = key
         chain_degree, vec = prod.product_chain(
             deg_x, prod.h01.representatives[deg_x][i], deg_y, prod.h12.representatives[deg_y][j]
@@ -343,8 +352,9 @@ def test_case1_classes_match_fresh_solve(ring):
             assert coords == []
             continue
         h02 = prod.h02
+        width = len(prod.cx02.basis[degree])  # one block: the core is the whole complex
         columns = [list(r) for r in h02.representatives[degree]] + [
-            list(r) for r in h02.image_spans[(1, 1), degree].rows
+            dense(r, width, prod.cx02.field) for r in h02.image_spans[(1, 1), degree].rows
         ]
         solution = solve_in_span(columns, vec, prod.cx02.field)
         assert coords == solution[: len(h02.representatives[degree])]
@@ -366,16 +376,18 @@ def test_class_of_rejects_non_cycles(case):
 
 def test_core_class_of_rejects_full_vectors():
     """Over matrix 2 a full case II vector is four core blocks wide; it is
-    read through class_of, never against the core's echelon form."""
+    read through class_of, never against the core's echelon form, where its
+    terms past the core's width are refused."""
     dga = _dga(Q, "commutator")
     e0, _e1 = _augmentations(dga, Q, "commutator", 2)
     result = homology(bilinearized_complex(dga, e0, e0, "II"))
     degree = min(result.dims)
-    vector = result.representatives[degree][0]
-    assert len(vector) == 4 * len(result.cx.cores[1, 1].basis[degree])
-    with pytest.raises(NcdgaError, match="widths differ"):
-        result.core_class_of((1, 1), degree, vector)
-    assert result.class_of(degree, vector)[0] == Q.one
+    vector = result.representatives[degree][-1]
+    width = len(result.cx.cores[1, 1].basis[degree])
+    assert len(vector) == 4 * width and max(terms_of(vector)) >= width
+    with pytest.raises(NcdgaError, match="outside the core basis"):
+        result.core_class_of((1, 1), degree, terms_of(vector))
+    assert result.class_of(degree, vector)[-1] == Q.one
 
 
 # -- CLI output pinned at the full construction ---------------------------

@@ -111,7 +111,7 @@ def test_product_zero_on_specialized(toy_specialized):
     triv = Augmentation.trivial(toy_specialized)
     prod = product_on_homology(toy_specialized, triv, triv, triv, "I")
     for (dx, i, dy, j), (deg, coeffs) in prod.table().items():
-        assert all(prod.h02.cx.field.is_zero(c) for c in coeffs)
+        assert coeffs == {}
 
 
 def test_product_on_matrix_pair(xy_dga, aug_p, aug_id):
@@ -153,7 +153,7 @@ def test_product_boundary_perturbation_invariance(xy_dga, aug_p, aug_id):
 def test_not_a_complex_detected(toy_specialized):
     triv = Augmentation.trivial(toy_specialized)
     cx = bilinearized_complex(toy_specialized, triv, triv, "I")
-    broken_diff = {deg: [row[:] for row in m] for deg, m in cx.diff.items()}
+    broken_diff = {deg: [dict(column) for column in m] for deg, m in cx.diff.items()}
     broken_diff[1][0][0] = cx.field.one  # d(c4) = c2 ...
     broken_diff[2][0][0] = cx.field.one  # ... and d(c2) = c1
     with pytest.raises(NotAComplexError):

@@ -32,9 +32,10 @@ from ncdga import (
     parse_dga,
     tensor_product,
 )
-from ncdga.augmentation import _prepare, augmented_components
+from ncdga.augmentation import augmented_components
 from ncdga.homology import _complex
 
+from conftest import _prepare
 from test_relation import GENERATED_SCALARS, generated_dgas
 
 TARGETS = ["matrix 2", "matrix 3", "split 2 matrix 2"]

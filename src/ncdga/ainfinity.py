@@ -37,9 +37,10 @@ support has a zero residual term by term.
 
 One verify call builds each piece of structure it reads once, and keeps
 none of it past the call: d^2, one relation per arity, the candidate
-patterns of every arity from one walk over the distinct words of d^2, and
-the live pool, the decorating coefficients whose inputs are nonzero,
-which counts the checks of every pattern.  The words are read off the
+patterns of every arity from one walk over the distinct words of d^2,
+which also decides up front whether every pattern is checked instead, and
+the decorating pool, every element of which gives nonzero inputs, so a
+pattern has len(pool) ** slots checks.  The words are read off the
 distinct generator patterns of each differential, which the DGA keeps
 from its construction with the terms its Leibniz d splices in; zero
 squares are never walked, nor zero images.
@@ -125,9 +126,7 @@ def mu_case1(dga: SemifreeDGA, inputs: Sequence[DualElement]) -> DualElement:
     match the inputs b1 d1, ..., bn dn, the product a0 b1 a1 ... bn an:
     the augmented operation over the trivial augmentation, which keeps
     exactly the words of arity n."""
-    n = len(inputs)
-    trivial = (Augmentation.trivial(dga),) * (n + 1)
-    return _evaluate_case1(dga.algebra, augmented_components(dga, trivial, n), inputs)
+    return mu_eps_case1(dga, (Augmentation.trivial(dga),) * (len(inputs) + 1), inputs)
 
 
 def curvature(dga: SemifreeDGA) -> DualElement:
@@ -152,9 +151,7 @@ def mu_eps_case1(
 def mu_case2(dga: SemifreeDGA, x: TensorElement) -> TensorElement:
     """mu_n as the trace-pairing adjoint of the arity-n differential: the
     augmented operation over the trivial augmentation."""
-    n = _case2_arity(dga, x)
-    trivial = (Augmentation.trivial(dga),) * (n + 1)
-    return _evaluate_case2(dga.algebra, augmented_components(dga, trivial, n), x)
+    return mu_eps_case2(dga, (Augmentation.trivial(dga),) * (_case2_arity(dga, x) + 1), x)
 
 
 def mu_eps_case2(
@@ -179,7 +176,8 @@ def default_coeff_pool(algebra) -> list[AlgebraElement]:
     """Decorating coefficients for relation checking: the unit plus a few
     short words (all matrix units for a matrix algebra).  Operations are
     scalar-linear, so these span every input up to the word lengths the
-    differentials can see."""
+    differentials can see.  No element may make a check's input zero:
+    :func:`verify_ainfty` counts len(pool) ** slots checks per pattern."""
     kind = algebra.kind
     if kind == "matrix":
         return [algebra.element(w) for w in algebra.words()]
@@ -317,15 +315,6 @@ def _inputs(alg, case: str, pattern: tuple[str, ...], coeffs) -> list:
     ] + [TensorElement.generator(alg, pattern[-1])]
 
 
-def _live_pool(alg, case: str, generator: str, pool) -> list:
-    """The pool elements on which a check's inputs are all nonzero.  Each
-    input reads one pool element, so a pool tuple is live exactly when
-    each of its elements is, and the live elements are read off the
-    one-slot checks on any generator: generators are only labels here."""
-    pattern = (generator,) * (1 if case == "I" else 2)
-    return [b for b in pool if not any(m.is_zero() for m in _inputs(alg, case, pattern, (b,)))]
-
-
 # the largest max_arity that verify_ainfty accepts
 _MAX_ARITY = 1000
 
@@ -345,7 +334,8 @@ def verify_ainfty(
     decorated with :func:`default_coeff_pool` (case I: pool element times
     generator; case II: generators joined by pool elements).  With
     ``exhaustive`` nothing is walked and every generator pattern is
-    checked instead, as it is when no arity has a candidate pattern.  A
+    checked instead, as it is when the walk finds no candidate pattern at
+    any arity, so one pass over the arities serves both.  A
     DGA without generators has no inputs, so it is refused rather than
     passed with no checks.  ``max_arity`` runs from 1 to ``_MAX_ARITY``,
     which keeps the check count of a few thousand generators printable.
@@ -354,9 +344,9 @@ def verify_ainfty(
     words, are evaluated, in enumeration order.  The checks on every other
     pattern are counted, not walked: both evaluators keep only the words
     whose generators are the inputs' pattern, so those residuals vanish
-    term by term, and each pattern has the same number of live pool
-    tuples.  Counts, violations and their order are those of evaluating
-    every check.
+    term by term, and each pattern has one check per tuple of pool
+    elements, every pool element giving nonzero inputs.  Counts,
+    violations and their order are those of evaluating every check.
     """
     if case not in ("I", "II"):
         raise NcdgaError(f"unknown case {case!r}")
@@ -381,16 +371,14 @@ def verify_ainfty(
         # every run checks an arity-1 input, which the case II evaluator
         # rejects; counted checks would not reach it
         raise NotHermitianError(f"{alg} has no hermitian structure")
-    live = _live_pool(alg, case, dga.names[0], default_coeff_pool(alg))
+    pool = default_coeff_pool(alg)
     square = dga.d_squared()
     cycled = tuple(objects[j % len(objects)] for j in range(max_arity + 1))
+    # a walk that finds no candidate at any arity would give a pass with no
+    # checks, which shows nothing, so every pattern is checked instead
     buckets = {} if exhaustive else _candidate_buckets(dga, cycled, max_arity)
     index = {name: i for i, name in enumerate(dga.names)}
-
-    def every_pattern(support):
-        return sorted(support, key=lambda pattern: [index[g] for g in pattern])
-
-    arities = []  # (n, relation, support), kept for the zero-check fallback
+    joiner = ", " if case == "I" else " (x) "
     for n in range(1, max_arity + 1):
         eps = cycled[: n + 1]
         relation = _relation(dga, eps, n, square)
@@ -399,49 +387,22 @@ def verify_ainfty(
         # fw.gens != mid_gens, so a pattern outside the relation's support
         # has a zero residual term by term: its checks pass uncomputed
         support = {tw.gens for value in relation.values() for tw in value.terms}
-        if exhaustive:
-            evaluated, total = every_pattern(support), len(dga.names) ** n
-        else:
-            arities.append((n, relation, support))
+        if buckets:
             candidates = candidate_patterns(dga, eps, n, buckets)
             evaluated = [pattern for pattern in candidates if pattern in support]
             total = len(candidates)
-        _check_arity(report, dga, case, live, n, relation, evaluated, total)
-    if not exhaustive and not report.checks:
-        # no candidate pattern at any arity; a pass with no checks shows
-        # nothing, so check every pattern, on the relations already built
-        report = Report(report.title)
-        for n, relation, support in arities:
+        else:
+            evaluated = sorted(support, key=lambda pattern: [index[g] for g in pattern])
             total = len(dga.names) ** n
-            _check_arity(report, dga, case, live, n, relation, every_pattern(support), total)
+        slots = n if case == "I" else n - 1
+        report.checks += (total - len(evaluated)) * len(pool) ** slots
+        for pattern in evaluated:
+            for coeffs in itertools.product(pool, repeat=slots):
+                inputs = _inputs(alg, case, pattern, coeffs)
+                residual = _evaluate(alg, case, relation, inputs)
+                if residual.is_zero():
+                    report.record(True, "")  # a passing check formats no message
+                else:
+                    listed = joiner.join(str(m) for m in inputs)
+                    report.record(False, f"arity {n}, inputs {listed}: residual {residual}")
     return report
-
-
-def _check_arity(
-    report: Report,
-    dga: SemifreeDGA,
-    case: str,
-    live: Sequence,
-    n: int,
-    relation: Mapping[str, TensorElement],
-    evaluated: Sequence[tuple[str, ...]],
-    total: int,
-) -> None:
-    """Record the arity-n checks of ``total`` patterns on ``report``, each
-    on every tuple of ``live`` pool elements (see :func:`_live_pool`):
-    those on ``evaluated``, the patterns in the relation's support, one by
-    one and in order; those on the other patterns as a count, since the
-    checks on a pattern do not depend on its generators."""
-    alg = dga.algebra
-    joiner = ", " if case == "I" else " (x) "
-    slots = n if case == "I" else n - 1
-    report.checks += (total - len(evaluated)) * len(live) ** slots
-    for pattern in evaluated:
-        for coeffs in itertools.product(live, repeat=slots):
-            inputs = _inputs(alg, case, pattern, coeffs)
-            residual = _evaluate(alg, case, relation, inputs)
-            if residual.is_zero():
-                report.record(True, "")  # a passing check formats no message
-            else:
-                listed = joiner.join(str(m) for m in inputs)
-                report.record(False, f"arity {n}, inputs {listed}: residual {residual}")

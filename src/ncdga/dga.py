@@ -418,8 +418,17 @@ class SemifreeDGA:
 
     def mirror(self) -> "SemifreeDGA":
         """Reverse the letters of every differential word (algebra letters
-        included, via the coefficient algebra's anti-automorphism)."""
-        alg = self.algebra
+        included, via the coefficient algebra's anti-automorphism), with
+        the Koszul sign of the reversal: a word with k odd letters is
+        multiplied by (-1)^(k(k-1)/2), the sign of passing each pair of its
+        odd letters over each other; coefficient words have degree 0.  This
+        signed reversal r is a graded anti-automorphism and an involution,
+        so r o d o r is again a derivation, it is r(d c) on a generator c,
+        and it squares to r o d^2 o r: the mirror of a DGA is a DGA, and
+        mirroring twice gives it back.  A differential whose own square is
+        not zero is refused."""
+        alg, degrees = self.algebra, self._degrees
+        neg = alg.ring.neg
         differential = {}
         for name, value in self.differential.items():
             terms = {}
@@ -428,7 +437,8 @@ class SemifreeDGA:
                     tuple(alg.reverse_word(w) for w in reversed(tw.coeffs)),
                     tuple(reversed(tw.gens)),
                 )
-                terms[reversed_word] = c
+                odd = sum(degrees[g] & 1 for g in tw.gens)
+                terms[reversed_word] = neg(c) if odd * (odd - 1) // 2 % 2 else c
             differential[name] = TensorElement(alg, terms)
         mirrored = SemifreeDGA(alg, self.generators, differential, self.modulus)
         check = mirrored.check_d_squared()

@@ -11,21 +11,26 @@ from ncdga import (
     ainfty_residual_case1,
     candidate_patterns,
     curvature,
+    default_coeff_pool,
     mu_case1,
     mu_case2,
     mu_eps_case1,
     mu_eps_case2,
+    ncopy,
     ncopy_augmentation,
     parse_dga,
     tensor_product,
     verify_ainfty,
 )
+from ncdga.ainfinity import _candidate_buckets, _inputs
 from ncdga.errors import (
     ArityMismatchError,
     NotHermitianError,
     TargetMismatchError,
     TupleLengthMismatchError,
 )
+
+from conftest import TREFOIL_SOURCE, XY_SOURCE
 
 
 def dual(dga, coeff, gen):
@@ -316,6 +321,60 @@ def test_verify_ainfty_q_with_augmentation(q_corpus_augmented):
     triv = Augmentation.trivial(shifted)
     assert verify_ainfty(shifted, [eps, triv], "I", 4).ok
     assert verify_ainfty(shifted, [eps], "I", 4).ok
+
+
+# every algebra kind the pool knows, over itself and split 1 to 3 times
+POOL_ALGEBRAS = [f"matrix {n}" for n in (1, 2, 3)] + [
+    "free",
+    "free g1",
+    "free g1 g2",
+    "group free 0",
+    "group free 1",
+    "group free 2",
+]
+POOL_ALGEBRAS += [f"split {k} {base}" for k in (1, 2, 3) for base in POOL_ALGEBRAS]
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z2", "Z3"])
+def test_every_pool_element_gives_nonzero_inputs(ring):
+    """verify_ainfty counts len(pool) ** slots checks per pattern, which are
+    its checks only while no pool element makes an input zero.  Each input
+    reads one pool element, so the one-slot inputs decide it, in each case
+    the algebra allows."""
+    for algebra in POOL_ALGEBRAS:
+        source = f"ring {ring}\nalgebra {algebra}\ngrading mod 0\ngen c deg 1\n"
+        alg = parse_dga(source).algebra
+        for case in ("I", "II") if alg.hermitian else ("I",):
+            pattern = ("c",) * (1 if case == "I" else 2)
+            for b in default_coeff_pool(alg):
+                inputs = _inputs(alg, case, pattern, (b,))
+                assert not any(m.is_zero() for m in inputs), (algebra, case, b)
+
+
+def test_no_candidate_at_any_arity_checks_every_pattern():
+    """When the walk finds no candidate pattern, the run checks every
+    pattern and gives the exhaustive report.  No differential contains a,
+    and the 4-copied trefoil's diagonal augmentation leaves no candidate."""
+    curved = parse_dga(XY_SOURCE.replace("ring Z2", "ring Q"))
+    one = curved.algebra.unit()
+    runs = [(curved, Augmentation(curved, {"x": one, "y": one}), n) for n in (1, 2, 3, 4)]
+    copied, _grading = ncopy(parse_dga(TREFOIL_SOURCE), 4)
+    unit = copied.algebra.unit()
+    runs.append((copied, Augmentation(copied, {f"a1_{i}{i}": unit for i in range(1, 5)}), 3))
+    counts = []
+    for dga, aug, max_arity in runs:
+        assert not _candidate_buckets(dga, (aug,) * (max_arity + 1), max_arity)
+        walked = verify_ainfty(dga, [aug], "I", max_arity)
+        every = verify_ainfty(dga, [aug], "I", max_arity, exhaustive=True)
+        assert (walked.title, walked.checks, walked.ok, walked.violations) == (
+            every.title,
+            every.checks,
+            every.ok,
+            every.violations,
+        )
+        counts.append(walked.checks)
+    assert all(counts)
+    assert counts[3] == 120  # d a = x*y - 1 at max arity 4, as in CI
 
 
 def test_residual_signs_need_rational_coefficients(q_corpus):

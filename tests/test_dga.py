@@ -324,15 +324,29 @@ def test_modulus_reduction():
     assert dga.check_d_squared().ok
 
 
-def test_mirror_detects_broken_square():
-    # over Q with an odd-degree letter in front of a differentiable one,
-    # naive letter reversal does not square to zero; mirror must refuse
-    src = (
-        "ring Q\nalgebra free g1\ngrading mod 0\n"
-        "gen a deg 4\ngen s deg 3\ngen y deg 2\ngen x deg 1\ngen w deg 1\n"
-        "d a = x*y + s\nd s = x*w\nd y = w\n"
-    )
-    dga = parse_dga(src)
+# an odd letter in front of a differentiable one, over Q: unsigned letter
+# reversal would give d(d a) = 2 w*x in the mirror
+MIRROR_Q = (
+    "ring Q\nalgebra free g1\ngrading mod 0\n"
+    "gen a deg 4\ngen s deg 3\ngen y deg 2\ngen x deg 1\ngen w deg 1\n"
+    "d a = x*y + s\nd s = x*w\nd y = w\n"
+)
+
+
+def test_mirror_signs_the_reversal():
+    dga = parse_dga(MIRROR_Q)
     assert dga.check_d_squared().ok
+    mirrored = dga.mirror()
+    # two odd letters pass each other: the sign (-1)^(2*1/2) = -1
+    assert mirrored.d_of_generator("s") == -word(dga, "w", "x")
+    assert mirrored.d_of_generator("a") == word(dga, "y", "x") + dga.generator("s")
+    assert mirrored.check_d_squared().ok
+    assert mirrored.mirror() == dga
+
+
+def test_mirror_refuses_a_broken_square():
+    # without d y = w the DGA's own d(d a) = x*w is not zero, nor is the mirror's
+    dga = parse_dga(MIRROR_Q.replace("d y = w\n", ""))
+    assert not dga.check_d_squared().ok
     with pytest.raises(InvalidDGAError):
         dga.mirror()
